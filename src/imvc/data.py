@@ -8,6 +8,7 @@ reload is bit-exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -88,7 +89,22 @@ def _load_csv_matrix(path: Path, what: str) -> np.ndarray:
                 )
     if not rows:
         raise DatasetError(f"{what}: {path} is empty")
-    return np.asarray(rows, dtype=np.float64)
+    mat = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(mat).all():
+        row = int(np.argmin(np.isfinite(mat).all(axis=1)))
+        raise DatasetError(
+            f"{what}: non-finite value at line {_line_of_row(path, row)} "
+            f"of {path}"
+        )
+    return mat
+
+
+def _line_of_row(path: Path, row: int) -> int:
+    """1-based line number of the row-th (0-based) non-blank line."""
+    with path.open() as f:
+        nonblank = (lineno for lineno, line in enumerate(f, start=1)
+                    if line.strip())
+        return next(itertools.islice(nonblank, row, None))
 
 
 def load_dataset(manifest_path) -> tuple[list[np.ndarray], np.ndarray | None, DatasetManifest]:
@@ -282,9 +298,17 @@ def _write_blob(f, data: bytes) -> None:
     f.write(data)
 
 
+def _read_exact(f, size: int) -> bytes:
+    data = f.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated model file {f.name}: wanted {size} bytes "
+                         f"at offset {f.tell() - len(data)}, got {len(data)}")
+    return data
+
+
 def _read_blob(f) -> bytes:
-    (length,) = struct.unpack("<Q", f.read(8))
-    return f.read(length)
+    (length,) = struct.unpack("<Q", _read_exact(f, 8))
+    return _read_exact(f, length)
 
 
 def _write_json(f, obj) -> None:
@@ -355,7 +379,7 @@ def load_model(path) -> ModelState:
         magic = f.read(4)
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path} is not a model file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", _read_exact(f, 4))
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model version {version}")
         meta = _read_json(f)

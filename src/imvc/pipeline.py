@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dtree, nncore, tao
+from . import dtree, metrics, nncore, tao
 from .kmeans import kmeans as run_kmeans
 
 EMBED_DIMS = (128, 64)
@@ -166,6 +166,11 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     for v, view in enumerate(views):
         if view.shape[0] != n:
             raise ValueError(f"view {v} has {view.shape[0]} rows, expected {n}")
+        if not np.isfinite(view).all():
+            row = int(np.argmin(np.isfinite(view).all(axis=1)))
+            raise ValueError(f"view {v} has a non-finite value in row {row}")
+    if config.k > n:
+        raise ValueError(f"k = {config.k} exceeds the {n} instances")
     view_dims = [v.shape[1] for v in views]
 
     standardizer = None
@@ -226,13 +231,21 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
 
 def tree_phase(state: ModelState, views: list[np.ndarray],
                cycle: int = 0) -> None:
-    """Refresh pseudo-labels from the embeddings and re-optimize the tree."""
+    """Refresh pseudo-labels from the embeddings and re-optimize the tree.
+
+    k-means numbers its clusters arbitrarily, so its labels are first
+    renumbered to best match the tree's current labels; leaf ids then stay
+    put when the partition does.
+    """
     config = state.config
+    k = config.k
     Z = concat_embeddings(_embed_all(state, views))
-    result = run_kmeans(Z, config.k, seed=[config.seed, 300, cycle])
-    state.kmeans_labels = result.labels
+    km = run_kmeans(Z, k, seed=[config.seed, 300, cycle]).labels
+    table = np.bincount(km * k + state.labels.hard, minlength=k * k).reshape(k, k)
+    perm = metrics.hungarian(-table)
+    state.kmeans_labels = perm[km]
     X = np.hstack(views)
-    tao.optimize_tree(state.tree, X, result.labels)
+    tao.optimize_tree(state.tree, X, state.kmeans_labels)
     state.labels = LabelSet.from_hard(state.tree.predict_batch(X), config.k)
     state.loss_history["tree"].append(
         tao.misclassification(state.tree, X, state.labels.hard)
@@ -242,7 +255,9 @@ def tree_phase(state: ModelState, views: list[np.ndarray],
 def fit(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     """Initialization followed by alternating joint-optimization cycles.
 
-    Stops early once the tree's hard labels repeat between cycles.
+    Runs at most `config.outer_cycles` cycles and stops early once the
+    partition stops changing, with k-means ids aligned to the tree's, so
+    an unchanged partition gives identical hard labels.
     """
     state = initialize(views, config)
     if config.standardize:

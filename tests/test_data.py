@@ -66,6 +66,22 @@ class TestLoadDataset:
         with pytest.raises(dataio.DatasetError, match="non-numeric"):
             dataio.load_dataset(manifest)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_view_file_and_line(self, tmp_path, bad):
+        (tmp_path / "v0.csv").write_text("1,2\n3,4\n5,6\n")
+        # a blank line before the bad row: the line number is the file's
+        (tmp_path / "v1.csv").write_text(f"1\n\n3\n{bad}\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "name": "x", "n": 3,
+            "views": [{"path": "v0.csv", "dim": 2},
+                      {"path": "v1.csv", "dim": 1}],
+        }))
+        with pytest.raises(dataio.DatasetError,
+                           match=r"view 1 \(v1.csv\): non-finite value at "
+                                 r"line 4 of .*v1.csv"):
+            dataio.load_dataset(manifest)
+
 
 class TestStandardize:
     def test_two_point_column(self):
@@ -167,3 +183,16 @@ class TestModelSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="not a model file"):
             dataio.load_model(path)
+
+    def test_truncated_file_rejected(self, tmp_path, state):
+        model, _ = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        blob = path.read_bytes()
+        cut_path = tmp_path / "cut.bin"
+        # inside the version, the meta length, the meta JSON, an array
+        # header and the final payload
+        for size in (6, 10, 300, len(blob) // 2, len(blob) - 1):
+            cut_path.write_bytes(blob[:size])
+            with pytest.raises(ValueError, match="truncated model file"):
+                dataio.load_model(cut_path)

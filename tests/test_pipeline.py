@@ -4,6 +4,8 @@ import pytest
 import imvc
 from imvc import data as dataio
 from imvc import nncore, pipeline
+from imvc.dtree import LEAF
+from imvc.kmeans import KMeansResult
 from imvc.pipeline import PipelineConfig, concat_embeddings
 
 
@@ -11,6 +13,13 @@ from imvc.pipeline import PipelineConfig, concat_embeddings
 def small_dataset():
     return dataio.synth_multiview(n_per_cluster=25, k=3, n_views=2, dims=4,
                                   noise=0.4, seed=7)
+
+
+@pytest.fixture()
+def no_training(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("training ran before input validation")
+    monkeypatch.setattr(pipeline, "_train_view", fail)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +80,18 @@ class TestInitialize:
         with pytest.raises(ValueError):
             pipeline.initialize([np.zeros((4, 2)), np.zeros((5, 2))],
                                 PipelineConfig(k=2, e1=1))
+
+    def test_k_above_n_rejected_before_training(self, no_training):
+        views = [np.arange(8.0).reshape(4, 2), np.arange(4.0).reshape(4, 1)]
+        with pytest.raises(ValueError, match="k = 5 exceeds the 4 instances"):
+            pipeline.initialize(views, PipelineConfig(k=5, e1=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_view_rejected_before_training(self, no_training, bad):
+        views = [np.zeros((4, 2)), np.zeros((4, 2))]
+        views[1][2, 1] = bad
+        with pytest.raises(ValueError, match="view 1 .* non-finite .* row 2"):
+            pipeline.initialize(views, PipelineConfig(k=2, e1=1))
 
 
 class TestFeaturePhase:
@@ -134,6 +155,28 @@ class TestTreePhase:
         np.testing.assert_array_equal(
             state.labels.hard, state.tree.predict_batch(np.hstack(views64)))
 
+    def test_renumbered_partition_leaves_tree_unchanged(self, small_dataset,
+                                                         monkeypatch):
+        views, _ = small_dataset
+        config = PipelineConfig(k=3, e1=10, min_num=5, seed=6)
+        state = pipeline.initialize(views, config)
+        views64 = [np.asarray(v, float) for v in views]
+        before = state.labels.hard.copy()
+        leaves = {i: n.label for i, n in state.tree.nodes.items()
+                  if n.kind == LEAF}
+
+        def renumbered(Z, k, seed):
+            labels = (before + 1) % k
+            return KMeansResult(labels=labels, centers=np.zeros((k, Z.shape[1])),
+                                sse=0.0, iterations=1)
+
+        monkeypatch.setattr(pipeline, "run_kmeans", renumbered)
+        pipeline.tree_phase(state, views64)
+        np.testing.assert_array_equal(state.labels.hard, before)
+        np.testing.assert_array_equal(state.kmeans_labels, before)
+        assert {i: n.label for i, n in state.tree.nodes.items()
+                if n.kind == LEAF} == leaves
+
 
 class TestFit:
     def test_zero_cycles_returns_initialization(self, small_dataset):
@@ -161,6 +204,14 @@ class TestFit:
             pipeline.feature_phase(state, views64, cycle=state.cycles_run - 1)
             pipeline.tree_phase(state, views64, cycle=state.cycles_run - 1)
             np.testing.assert_array_equal(state.labels.hard, before)
+
+    def test_stable_partition_stops_after_one_cycle(self, small_dataset):
+        views, _ = small_dataset
+        config = PipelineConfig(k=3, e1=20, e2=30, min_num=5, seed=2,
+                                outer_cycles=5)
+        state = pipeline.fit(views, config)
+        assert state.converged
+        assert state.cycles_run == 1
 
     def test_standardize_flag_round_trips_through_predict(self, small_dataset):
         views, truth = small_dataset
