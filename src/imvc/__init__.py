@@ -6,33 +6,14 @@ original features explains cluster membership. Alternating optimization
 jointly refines the embeddings and the tree.
 """
 
-from .dtree import DecisionTree, TreeNode, best_split, build_tree, gini, split_gini
-from .kmeans import KMeansResult, kmeans, kmeanspp_init, lloyd
-from .metrics import clustering_accuracy, hungarian, pairwise_f1, purity
-from .nncore import (
-    AdamState,
-    Autoencoder,
-    DenseLayer,
-    adam_step,
-    combined_loss,
-    cross_entropy_loss,
-    reconstruction_loss,
-    soft_assignment,
-)
-from .data import load_dataset, load_model, save_model, synth_multiview
-from .pipeline import LabelSet, ModelState, PipelineConfig, concat_embeddings, explain, fit
-from .tao import care_set, optimize_node, optimize_tree, prune_and_reallocate, tao_pass
+from .data import load_dataset, load_model, save_model, synth_multiview, write_dataset
+from .metrics import clustering_accuracy, pairwise_f1, purity
+from .pipeline import ModelState, PipelineConfig, explain, fit
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "Autoencoder", "DecisionTree", "DenseLayer", "KMeansResult",
-    "LabelSet", "ModelState", "PipelineConfig", "TreeNode", "adam_step",
-    "best_split", "build_tree", "care_set", "clustering_accuracy",
-    "combined_loss", "concat_embeddings", "cross_entropy_loss", "explain",
-    "fit", "gini", "hungarian", "kmeans", "kmeanspp_init", "lloyd",
-    "load_dataset", "load_model", "optimize_node", "optimize_tree",
-    "pairwise_f1", "prune_and_reallocate", "purity", "reconstruction_loss",
-    "save_model", "soft_assignment", "split_gini", "synth_multiview",
-    "tao_pass",
+    "ModelState", "PipelineConfig", "clustering_accuracy", "explain", "fit",
+    "load_dataset", "load_model", "pairwise_f1", "purity", "save_model",
+    "synth_multiview", "write_dataset",
 ]

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nncore
-from .dtree import INTERNAL, LEAF, DecisionTree, TreeNode
-from .pipeline import LabelSet, ModelState, PipelineConfig
+from .dtree import INTERNAL, DecisionTree, TreeNode
+from .pipeline import LabelSet, ModelState, PipelineConfig, feature_attribution
 
 MODEL_MAGIC = b"IMVC"
 MODEL_VERSION = 1
@@ -123,37 +123,35 @@ def load_dataset(manifest_path) -> tuple[list[np.ndarray], np.ndarray | None, Da
         views.append(mat)
     truth = None
     if manifest.labels_path is not None:
-        labels = _load_csv_matrix(base / manifest.labels_path, "labels")
-        if labels.shape != (manifest.n, 1):
+        truth = load_labels(base / manifest.labels_path)
+        if truth.shape != (manifest.n,):
             raise DatasetError(
                 f"labels ({manifest.labels_path}): expected {manifest.n} rows "
-                f"of one integer, got shape {labels.shape}"
+                f"of one integer, got {truth.shape[0]}"
             )
-        truth = labels.ravel().astype(np.int64)
     return views, truth, manifest
 
 
 def load_labels(path) -> np.ndarray:
-    mat = _load_csv_matrix(Path(path), "labels")
+    """One integer per line; a fractional or out-of-range value is an
+    error, not truncated."""
+    path = Path(path)
+    mat = _load_csv_matrix(path, "labels")
     if mat.shape[1] != 1:
         raise DatasetError(f"labels file {path} must have one column")
-    return mat.ravel().astype(np.int64)
+    col = mat.ravel()
+    whole = (col == np.floor(col)) & (np.abs(col) < 2.0**63)
+    if not whole.all():
+        row = int(np.argmin(whole))
+        raise DatasetError(
+            f"labels: {col[row]:g} at line {_line_of_row(path, row)} of "
+            f"{path} is not a 64-bit integer"
+        )
+    return col.astype(np.int64)
 
 
 def write_labels(path, labels) -> None:
     np.savetxt(path, np.asarray(labels, dtype=np.int64), fmt="%d")
-
-
-def standardize(view: np.ndarray) -> np.ndarray:
-    """Per-feature zero mean, unit population variance; constant features
-    map to zero."""
-    view = np.asarray(view, dtype=np.float64)
-    if view.shape[0] < 2:
-        raise ValueError("standardization needs at least two rows")
-    mean = view.mean(axis=0)
-    std = view.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return (view - mean) / std
 
 
 def synth_multiview(n_per_cluster: int, k: int, n_views: int, dims,
@@ -253,13 +251,6 @@ def doc_to_tree(doc: dict) -> DecisionTree:
         )
     return DecisionTree(nodes=nodes, root=doc["root"], k=doc["k"],
                         feature_dim=doc["feature_dim"])
-
-
-def feature_attribution(feature: int, view_offsets: list[int]) -> tuple[int, int]:
-    """Map a global feature index to (0-based view, index within view)."""
-    offsets = np.asarray(view_offsets)
-    view = int(np.searchsorted(offsets, feature, side="right") - 1)
-    return view, int(feature - offsets[view])
 
 
 def export_tree(tree: DecisionTree, view_offsets: list[int],

@@ -1,4 +1,5 @@
-"""CART construction with the Gini criterion over concatenated features.
+"""CART construction with the Gini criterion over concatenated features,
+and the tree's routing of instances.
 
 Split search is exhaustive: every feature, every midpoint between
 consecutive distinct sorted values. Candidate scores are compared in
@@ -8,6 +9,7 @@ feature, then lowest threshold) is reproducible across platforms.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +33,11 @@ class TreeNode:
 
 
 class DecisionTree:
-    """Binary threshold tree routing with x[sf] <= sv going left."""
+    """Binary threshold tree routing with x[sf] <= sv going left.
+
+    `path` and `route` are the only walks that route rows; every other
+    traversal of instances through the tree is built on them.
+    """
 
     def __init__(self, nodes: dict[int, TreeNode], root: int, k: int,
                  feature_dim: int):
@@ -47,58 +53,60 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def leaves(self) -> list[TreeNode]:
-        return [n for n in self.nodes.values() if n.kind == LEAF]
-
     def max_depth(self) -> int:
         return max(n.depth for n in self.nodes.values())
 
-    def fresh_id(self) -> int:
-        return max(self.nodes) + 1 if self.nodes else 0
+    def path(self, x: np.ndarray, start: int | None = None) -> Iterator[int]:
+        """Node ids one row visits, from `start` (default: the root) to a leaf."""
+        node_id = self.root if start is None else start
+        while True:
+            yield node_id
+            node = self.nodes[node_id]
+            if node.kind != INTERNAL:
+                return
+            node_id = node.left if x[node.split_feature] <= node.split_value else node.right
 
-    def predict(self, x: np.ndarray) -> int:
+    def route(self, X: np.ndarray,
+              start: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+        """(node_id, rows) for every node at least one row of X reaches.
+
+        `rows` are ascending indices into X; empty branches are skipped.
+        """
+        stack = [(self.root if start is None else start, np.arange(X.shape[0]))]
+        while stack:
+            node_id, rows = stack.pop()
+            if len(rows) == 0:
+                continue
+            yield node_id, rows
+            node = self.nodes[node_id]
+            if node.kind == INTERNAL:
+                go_left = X[rows, node.split_feature] <= node.split_value
+                stack.append((node.left, rows[go_left]))
+                stack.append((node.right, rows[~go_left]))
+
+    def predict(self, x: np.ndarray, start: int | None = None) -> int:
+        """Leaf label of one row, descending from `start` (default: the root)."""
         x = np.asarray(x, dtype=np.float64).ravel()
         if x.shape[0] != self.feature_dim:
             raise ValueError(
                 f"expected {self.feature_dim} features, got {x.shape[0]}"
             )
-        node = self.nodes[self.root]
-        while node.kind == INTERNAL:
-            nxt = node.left if x[node.split_feature] <= node.split_value else node.right
-            node = self.nodes[nxt]
-        return int(node.label)
+        *_, leaf = self.path(x, start)
+        return int(self.nodes[leaf].label)
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+    def predict_batch(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
+        """Leaf labels of the rows of X, descending from `start`."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_dim:
             raise ValueError(
                 f"expected (n, {self.feature_dim}) matrix, got {X.shape}"
             )
         out = np.empty(X.shape[0], dtype=np.int64)
-        idx = np.arange(X.shape[0])
-        stack = [(self.root, idx)]
-        while stack:
-            node_id, ids = stack.pop()
-            if len(ids) == 0:
-                continue
+        for node_id, rows in self.route(X, start):
             node = self.nodes[node_id]
             if node.kind == LEAF:
-                out[ids] = node.label
-                continue
-            go_left = X[ids, node.split_feature] <= node.split_value
-            stack.append((node.left, ids[go_left]))
-            stack.append((node.right, ids[~go_left]))
+                out[rows] = node.label
         return out
-
-    def recompute_depths(self) -> None:
-        stack = [(self.root, 0)]
-        while stack:
-            node_id, depth = stack.pop()
-            node = self.nodes[node_id]
-            node.depth = depth
-            if node.kind == INTERNAL:
-                stack.append((node.left, depth + 1))
-                stack.append((node.right, depth + 1))
 
 
 def gini(labels) -> float:

@@ -48,12 +48,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.w.shape[1]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        pre = x @ self.w + self.b
-        if self.activation == "relu":
-            return np.maximum(pre, 0.0)
-        return pre
-
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))

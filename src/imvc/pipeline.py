@@ -10,6 +10,8 @@ The tree's leaf outputs are the model's final cluster assignment.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +77,7 @@ class ModelState:
 
     @property
     def view_offsets(self) -> list[int]:
-        return [int(x) for x in np.concatenate(([0], np.cumsum(self.view_dims)[:-1]))]
+        return list(itertools.accumulate(self.view_dims[:-1], initial=0))
 
     def preprocess(self, views: list[np.ndarray]) -> list[np.ndarray]:
         views = [np.asarray(v, dtype=np.float64) for v in views]
@@ -88,6 +90,7 @@ class ModelState:
                 raise ValueError(
                     f"view {v} has {view.shape[1]} features, expected {dim}"
                 )
+            _check_finite(view, v)
         if self.standardizer is None:
             return views
         return [
@@ -98,6 +101,14 @@ class ModelState:
     def predict(self, views: list[np.ndarray]) -> np.ndarray:
         X = np.hstack(self.preprocess(views))
         return self.tree.predict_batch(X)
+
+
+def _check_finite(view: np.ndarray, v: int) -> None:
+    """Reject NaN and +-inf in view v, naming the first bad row."""
+    finite = np.isfinite(view)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"view {v} has a non-finite value in row {row}")
 
 
 def fit_standardizer(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,9 +177,7 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     for v, view in enumerate(views):
         if view.shape[0] != n:
             raise ValueError(f"view {v} has {view.shape[0]} rows, expected {n}")
-        if not np.isfinite(view).all():
-            row = int(np.argmin(np.isfinite(view).all(axis=1)))
-            raise ValueError(f"view {v} has a non-finite value in row {row}")
+        _check_finite(view, v)
     if config.k > n:
         raise ValueError(f"k = {config.k} exceeds the {n} instances")
     view_dims = [v.shape[1] for v in views]
@@ -288,6 +297,12 @@ class ExplanationStep:
     went_left: bool
 
 
+def feature_attribution(feature: int, view_offsets: list[int]) -> tuple[int, int]:
+    """Map a global feature index to (0-based view, index within view)."""
+    view = bisect.bisect_right(view_offsets, feature) - 1
+    return view, int(feature - view_offsets[view])
+
+
 def explain(state: ModelState, x_views: list[np.ndarray]) -> tuple[list[ExplanationStep], int]:
     """Root-to-leaf decision path for one instance, with view attribution."""
     x = np.hstack([np.asarray(v, dtype=np.float64).ravel() for v in
@@ -296,16 +311,14 @@ def explain(state: ModelState, x_views: list[np.ndarray]) -> tuple[list[Explanat
         raise ValueError(
             f"expected {state.tree.feature_dim} features, got {x.shape[0]}"
         )
-    offsets = np.asarray(state.view_offsets)
-    path = []
-    node = state.tree.node(state.tree.root)
-    while node.kind == dtree.INTERNAL:
-        sf = node.split_feature
-        view = int(np.searchsorted(offsets, sf, side="right") - 1)
-        went_left = bool(x[sf] <= node.split_value)
-        path.append(ExplanationStep(
-            feature=sf, view=view, local_feature=int(sf - offsets[view]),
-            threshold=float(node.split_value), went_left=went_left,
+    offsets = state.view_offsets
+    ids = list(state.tree.path(x))
+    steps = []
+    for node_id, nxt in zip(ids, ids[1:]):
+        node = state.tree.node(node_id)
+        view, local = feature_attribution(node.split_feature, offsets)
+        steps.append(ExplanationStep(
+            feature=node.split_feature, view=view, local_feature=local,
+            threshold=float(node.split_value), went_left=nxt == node.left,
         ))
-        node = state.tree.node(node.left if went_left else node.right)
-    return path, int(node.label)
+    return steps, int(state.tree.node(ids[-1]).label)

@@ -27,46 +27,14 @@ class CareInstance:
 
 
 def compute_reach(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
-    """Instance indices reaching every node under the current parameters."""
+    """Instance indices reaching every node under the current parameters.
+
+    Nodes no instance reaches get an empty array.
+    """
     X = np.asarray(X, dtype=np.float64)
-    reach: dict[int, np.ndarray] = {}
-    stack = [(tree.root, np.arange(X.shape[0]))]
-    while stack:
-        node_id, idx = stack.pop()
-        reach[node_id] = idx
-        node = tree.node(node_id)
-        if node.kind == INTERNAL:
-            go_left = X[idx, node.split_feature] <= node.split_value
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
+    reach = {node_id: np.empty(0, dtype=np.int64) for node_id in tree.nodes}
+    reach.update(tree.route(X))
     return reach
-
-
-def subtree_label(tree: DecisionTree, node_id: int, x: np.ndarray) -> int:
-    """Leaf label reached when descending from node_id."""
-    node = tree.node(node_id)
-    while node.kind == INTERNAL:
-        nxt = node.left if x[node.split_feature] <= node.split_value else node.right
-        node = tree.node(nxt)
-    return int(node.label)
-
-
-def _subtree_labels_batch(tree: DecisionTree, node_id: int,
-                          X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = np.empty(len(idx), dtype=np.int64)
-    stack = [(node_id, np.arange(len(idx)))]
-    while stack:
-        nid, pos = stack.pop()
-        if len(pos) == 0:
-            continue
-        node = tree.node(nid)
-        if node.kind == LEAF:
-            out[pos] = node.label
-            continue
-        go_left = X[idx[pos], node.split_feature] <= node.split_value
-        stack.append((node.left, pos[go_left]))
-        stack.append((node.right, pos[~go_left]))
-    return out
 
 
 def relabel_leaf(tree: DecisionTree, leaf_id: int, idx: np.ndarray,
@@ -95,8 +63,9 @@ def care_set(tree: DecisionTree, node_id: int, idx: np.ndarray,
         raise ValueError(f"node {node_id} is not internal")
     if len(idx) == 0:
         return []
-    left_labels = _subtree_labels_batch(tree, node.left, X, idx)
-    right_labels = _subtree_labels_batch(tree, node.right, X, idx)
+    X_idx = X[idx]
+    left_labels = tree.predict_batch(X_idx, start=node.left)
+    right_labels = tree.predict_batch(X_idx, start=node.right)
     y = Y[idx]
     care = []
     for pos, inst in enumerate(idx):
@@ -187,43 +156,45 @@ def prune_and_reallocate(tree: DecisionTree,
                          X: np.ndarray) -> tuple[bool, dict[int, np.ndarray]]:
     """Splice out internal nodes with an empty child; refresh reach sets.
 
+    An internal node whose rows all go one way is replaced by that child,
+    which is reached by the same rows. So the reach sets of one routing
+    through the unpruned tree are those of the pruned tree, and they give
+    the node counts.
+
     Returns (structure_changed, reach sets of the pruned tree).
     """
-    X = np.asarray(X, dtype=np.float64)
+    reach = compute_reach(tree, X)
     before = tree.n_nodes
 
-    def prune(node_id: int, idx: np.ndarray) -> int:
+    def kept(node_id: int) -> int:
+        """node_id, or the descendant that takes its place."""
         node = tree.node(node_id)
-        if node.kind == LEAF:
-            node.count = len(idx)
-            return node_id
-        go_left = X[idx, node.split_feature] <= node.split_value
-        left_idx = idx[go_left]
-        right_idx = idx[~go_left]
-        if len(left_idx) == 0:
-            return prune(node.right, idx)
-        if len(right_idx) == 0:
-            return prune(node.left, idx)
-        node.count = len(idx)
-        node.left = prune(node.left, left_idx)
-        node.right = prune(node.right, right_idx)
-        return node_id
+        while node.kind == INTERNAL:
+            if len(reach[node.left]) == 0:
+                node = tree.node(node.right)
+            elif len(reach[node.right]) == 0:
+                node = tree.node(node.left)
+            else:
+                break
+        return node.id
 
-    tree.root = prune(tree.root, np.arange(X.shape[0]))
-
-    keep: set[int] = set()
-    stack = [tree.root]
+    tree.root = kept(tree.root)
+    pruned: dict[int, np.ndarray] = {}
+    stack = [(tree.root, 0)]
     while stack:
-        node_id = stack.pop()
-        keep.add(node_id)
+        node_id, depth = stack.pop()
         node = tree.node(node_id)
+        node.depth = depth
+        node.count = len(reach[node_id])
+        pruned[node_id] = reach[node_id]
         if node.kind == INTERNAL:
-            stack.extend((node.left, node.right))
+            node.left = kept(node.left)
+            node.right = kept(node.right)
+            stack.extend(((node.left, depth + 1), (node.right, depth + 1)))
     for node_id in list(tree.nodes):
-        if node_id not in keep:
+        if node_id not in pruned:
             del tree.nodes[node_id]
-    tree.recompute_depths()
-    return tree.n_nodes != before, compute_reach(tree, X)
+    return tree.n_nodes != before, pruned
 
 
 def optimize_tree(tree: DecisionTree, X: np.ndarray, Y_init,

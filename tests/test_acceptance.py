@@ -10,12 +10,11 @@ import time
 import numpy as np
 import pytest
 
-import imvc
 from imvc import data as dataio
 from imvc import pipeline, tao
 from imvc.cli import main as cli_main
 from imvc.dtree import best_split, build_tree, gini, split_gini
-from imvc.kmeans import kmeanspp_init, lloyd
+from imvc.kmeans import kmeans, kmeanspp_init, lloyd
 from imvc.metrics import clustering_accuracy, hungarian, pairwise_f1, purity
 from imvc.nncore import Autoencoder, combined_loss, cross_entropy_loss, soft_assignment
 from imvc.tao import compute_reach, misclassification, tao_pass
@@ -265,7 +264,7 @@ def test_criterion_10_kmeans_properties():
         n = int(rng.integers(4, 11))
         k = int(rng.integers(2, 4))
         Z = rng.standard_normal((n, 2))
-        result = imvc.kmeans(Z, k, seed=seed)
+        result = kmeans(Z, k, seed=seed)
         # Lloyd fixed point: nearest-center labels and centroid centers
         dist = ((Z[:, None, :] - result.centers[None, :, :]) ** 2).sum(axis=2)
         assert float(dist[np.arange(n), result.labels].sum()) == pytest.approx(

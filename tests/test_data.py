@@ -82,20 +82,48 @@ class TestLoadDataset:
                                  r"line 4 of .*v1.csv"):
             dataio.load_dataset(manifest)
 
+    def test_non_integer_label_names_file_and_line(self, tmp_path):
+        (tmp_path / "v0.csv").write_text("1\n2\n3\n4\n")
+        (tmp_path / "y.csv").write_text("0\n\n1.5\n2.9\n-1\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "name": "x", "n": 4, "views": [{"path": "v0.csv", "dim": 1}],
+            "labels_path": "y.csv",
+        }))
+        pattern = r"labels: 1.5 at line 3 of .*y.csv is not a 64-bit integer"
+        with pytest.raises(dataio.DatasetError, match=pattern):
+            dataio.load_dataset(manifest)
+        with pytest.raises(dataio.DatasetError, match=pattern):
+            dataio.load_labels(tmp_path / "y.csv")
+        # integer-valued, but past the int64 range astype would wrap into
+        (tmp_path / "y.csv").write_text("0\n1e20\n")
+        with pytest.raises(dataio.DatasetError,
+                           match=r"labels: 1e\+20 at line 2 of"):
+            dataio.load_labels(tmp_path / "y.csv")
+
+    def test_integer_valued_labels_load(self, tmp_path):
+        (tmp_path / "y.csv").write_text("0\n2.0\n-1\n")
+        np.testing.assert_array_equal(dataio.load_labels(tmp_path / "y.csv"),
+                                      [0, 2, -1])
+
+
+def standardize(view):
+    return pipeline.apply_standardizer(view, *pipeline.fit_standardizer(view))
+
 
 class TestStandardize:
     def test_two_point_column(self):
-        out = dataio.standardize(np.array([[1.0], [3.0]]))
+        out = standardize(np.array([[1.0], [3.0]]))
         np.testing.assert_allclose(out, [[-1.0], [1.0]])
 
     def test_constant_column_maps_to_zero(self):
-        out = dataio.standardize(np.array([[5.0, 1.0], [5.0, 2.0]]))
+        out = standardize(np.array([[5.0, 1.0], [5.0, 2.0]]))
         np.testing.assert_array_equal(out[:, 0], [0.0, 0.0])
 
     def test_idempotent(self):
         X = np.random.default_rng(0).standard_normal((20, 3)) * 4 + 2
-        once = dataio.standardize(X)
-        twice = dataio.standardize(once)
+        once = standardize(X)
+        twice = standardize(once)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
 
@@ -113,8 +141,9 @@ class TestSynth:
 
     def test_raw_concatenation_is_separable(self):
         import imvc
+        from imvc.kmeans import kmeans
         views, truth = dataio.synth_multiview(20, 3, 2, 4, noise=0.1, seed=3)
-        result = imvc.kmeans(np.hstack(views), 3, seed=0)
+        result = kmeans(np.hstack(views), 3, seed=0)
         assert imvc.clustering_accuracy(result.labels, truth) == 1.0
 
 
@@ -149,9 +178,9 @@ class TestTreeExport:
                                       tree.predict_batch(probes))
 
     def test_view_attribution_rendering(self):
-        assert dataio.feature_attribution(80, [0, 76]) == (1, 4)
-        assert dataio.feature_attribution(75, [0, 76]) == (0, 75)
-        assert dataio.feature_attribution(76, [0, 76]) == (1, 0)
+        assert pipeline.feature_attribution(80, [0, 76]) == (1, 4)
+        assert pipeline.feature_attribution(75, [0, 76]) == (0, 75)
+        assert pipeline.feature_attribution(76, [0, 76]) == (1, 0)
 
 
 class TestModelSerialization:

@@ -254,6 +254,23 @@ class TestExplain:
         with pytest.raises(ValueError):
             pipeline.explain(fitted, [np.zeros(4), np.zeros(3)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, fitted, small_dataset, bad):
+        views, _ = small_dataset
+        x = [views[0][0].copy(), views[1][0].copy()]
+        x[1][2] = bad
+        with pytest.raises(ValueError, match="view 1 has a non-finite value in row 0"):
+            pipeline.explain(fitted, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_query(fitted, small_dataset, bad):
+    views, _ = small_dataset
+    query = [views[0][:5].copy(), views[1][:5].copy()]
+    query[0][3] = bad
+    with pytest.raises(ValueError, match="view 0 has a non-finite value in row 3"):
+        fitted.predict(query)
+
 
 def test_fit_reproducible_bytes(tmp_path, small_dataset):
     views, _ = small_dataset

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imvc.dtree import (
     INTERNAL,
@@ -17,7 +19,6 @@ from imvc.tao import (
     optimize_tree,
     prune_and_reallocate,
     relabel_leaf,
-    subtree_label,
     tao_pass,
 )
 
@@ -68,6 +69,64 @@ class TestReach:
             np.testing.assert_array_equal(merged, sorted(reach[node_id]))
 
 
+def random_tree(seed):
+    """A random tree over 3 integer-valued features, with shuffled node ids.
+
+    Thresholds come from the feature values themselves, so rows often sit
+    exactly on a threshold, and some branches receive no rows at all.
+    """
+    rng = np.random.default_rng(seed)
+    ids = iter(rng.permutation(64).tolist())
+    nodes = []
+
+    def grow(depth):
+        node_id = next(ids)
+        if depth == 4 or rng.random() < 0.3:
+            nodes.append(TreeNode(id=node_id, kind=LEAF, depth=depth,
+                                  label=int(rng.integers(3))))
+        else:
+            node = TreeNode(id=node_id, kind=INTERNAL, depth=depth,
+                            split_feature=int(rng.integers(3)),
+                            split_value=float(rng.integers(-1, 5)))
+            nodes.append(node)
+            node.left = grow(depth + 1)
+            node.right = grow(depth + 1)
+        return node_id
+
+    root = grow(0)
+    X = rng.integers(0, 4, size=(int(rng.integers(0, 40)), 3)).astype(float)
+    return make_tree(nodes, root, 3, 3), X
+
+
+class TestRoutingProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_batch_walk_matches_scalar_walk_from_every_node(self, seed):
+        tree, X = random_tree(seed)
+        for start in tree.nodes:
+            expected = [tree.predict(x, start=start) for x in X]
+            np.testing.assert_array_equal(tree.predict_batch(X, start=start),
+                                          np.array(expected, dtype=np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_reach_partitions_rows_at_every_internal_node(self, seed):
+        tree, X = random_tree(seed)
+        reach = compute_reach(tree, X)
+        assert set(reach) == set(tree.nodes)
+        np.testing.assert_array_equal(reach[tree.root], np.arange(len(X)))
+        for node in tree.nodes.values():
+            if node.kind == INTERNAL:
+                left, right = reach[node.left], reach[node.right]
+                assert not set(left) & set(right)
+                np.testing.assert_array_equal(np.sort(np.r_[left, right]),
+                                              reach[node.id])
+                for i in left:
+                    assert X[i, node.split_feature] <= node.split_value
+                for i in right:
+                    assert X[i, node.split_feature] > node.split_value
+
+
 class TestRelabelLeaf:
     def test_majority(self):
         tree, X, _ = toy_three_label_instance()
@@ -90,17 +149,24 @@ class TestRelabelLeaf:
 class TestSubtreeLabel:
     def test_leaf_is_its_label(self):
         tree, X, _ = toy_three_label_instance()
-        assert subtree_label(tree, 2, X[0]) == 2
+        assert tree.predict(X[0], start=2) == 2
 
     def test_depth_one_subtree(self):
         tree, X, _ = toy_three_label_instance()
-        assert subtree_label(tree, 1, np.array([0.0, 1.0])) == 0
-        assert subtree_label(tree, 1, np.array([0.0, 3.0])) == 1
+        assert tree.predict(np.array([0.0, 1.0]), start=1) == 0
+        assert tree.predict(np.array([0.0, 3.0]), start=1) == 1
 
     def test_root_matches_predict(self):
         tree, X, _ = toy_three_label_instance()
         for x in X:
-            assert subtree_label(tree, tree.root, x) == tree.predict(x)
+            assert tree.predict(x, start=tree.root) == tree.predict(x)
+
+    def test_path_follows_the_threshold_tests(self):
+        tree, _, _ = toy_three_label_instance()
+        assert list(tree.path(np.array([0.0, 2.5]))) == [0, 1, 3]
+        assert list(tree.path(np.array([0.0, 2.6]))) == [0, 1, 4]
+        assert list(tree.path(np.array([0.7, 0.0]))) == [0, 2]
+        assert list(tree.path(np.array([0.7, 0.0]), start=1)) == [1, 3]
 
 
 class TestCareSet:
@@ -138,8 +204,8 @@ class TestCareSet:
                 care = care_set(tree, node.id, reach[node.id], X, y)
                 lookup = {c.index: c for c in care}
                 for i in reach[node.id]:
-                    left_ok = subtree_label(tree, node.left, X[i]) == y[i]
-                    right_ok = subtree_label(tree, node.right, X[i]) == y[i]
+                    left_ok = tree.predict(X[i], start=node.left) == y[i]
+                    right_ok = tree.predict(X[i], start=node.right) == y[i]
                     if left_ok != right_ok:
                         c = lookup[i]
                         assert (c.correct_left, c.correct_right) == (left_ok, right_ok)
@@ -239,6 +305,41 @@ class TestPrune:
         assert tree.n_nodes == 1
         assert tree.node(tree.root).label == 1
         assert tree.node(tree.root).depth == 0
+
+    def test_stacked_one_sided_nodes_are_both_spliced(self):
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        nodes = [
+            TreeNode(id=0, kind=INTERNAL, depth=0, split_feature=0,
+                     split_value=0.5, left=1, right=2),
+            TreeNode(id=1, kind=INTERNAL, depth=1, split_feature=0,
+                     split_value=10.0, left=3, right=4),    # everything left
+            TreeNode(id=2, kind=LEAF, depth=1, label=2),
+            TreeNode(id=3, kind=INTERNAL, depth=2, split_feature=0,
+                     split_value=-10.0, left=5, right=6),   # everything right
+            TreeNode(id=4, kind=LEAF, depth=2, label=0),
+            TreeNode(id=5, kind=LEAF, depth=3, label=0),
+            TreeNode(id=6, kind=INTERNAL, depth=3, split_feature=1,
+                     split_value=0.5, left=7, right=8),
+            TreeNode(id=7, kind=LEAF, depth=4, label=0),
+            TreeNode(id=8, kind=LEAF, depth=4, label=1),
+        ]
+        tree = make_tree(nodes, 0, 3, 2)
+        before = tree.predict_batch(X)
+        changed, reach = prune_and_reallocate(tree, X)
+        assert changed
+        assert sorted(tree.nodes) == [0, 2, 6, 7, 8]
+        assert (tree.root, tree.node(0).left, tree.node(0).right) == (0, 6, 2)
+        assert (tree.node(6).left, tree.node(6).right) == (7, 8)
+        assert {i: n.depth for i, n in tree.nodes.items()} == {
+            0: 0, 2: 1, 6: 1, 7: 2, 8: 2}
+        assert {i: n.count for i, n in tree.nodes.items()} == {
+            0: 4, 2: 1, 6: 3, 7: 1, 8: 2}
+        assert sorted(reach) == [0, 2, 6, 7, 8]
+        expected = {0: [0, 1, 2, 3], 2: [3], 6: [0, 1, 2], 7: [0], 8: [1, 2]}
+        for node_id, rows in expected.items():
+            np.testing.assert_array_equal(reach[node_id], rows)
+        np.testing.assert_array_equal(tree.predict_batch(X), before)
+        assert not prune_and_reallocate(tree, X)[0]
 
     def test_reach_partitions_after_prune(self):
         for seed in range(5):
