@@ -2,16 +2,18 @@
 and the tree's routing of instances.
 
 Split search is exhaustive: every feature, every midpoint between
-consecutive distinct sorted values. Candidate scores are compared in
-exact rational arithmetic so tie-breaking (lowest impurity, then lowest
-feature, then lowest threshold) is reproducible across platforms.
+consecutive distinct sorted values. Each feature is scored for all its
+thresholds at once from cumulative class counts over one sort. A float
+score screens the candidates; those within a few ulp of the best are
+then compared exactly by integer cross-multiplication, so tie-breaking
+(lowest impurity, then lowest feature, then lowest threshold) is
+reproducible across platforms.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -134,19 +136,18 @@ def split_gini(X: np.ndarray, labels, sf: int, sv: float) -> float:
     return score
 
 
-def _exact_counts_score(a: int, b: int, n_left: int, n_right: int) -> Fraction:
-    """sum_c cL_c^2 / nL + sum_c cR_c^2 / nR as an exact rational.
-
-    Maximizing this quantity is equivalent to minimizing the weighted
-    Gini impurity of the split.
-    """
-    return Fraction(a * n_right + b * n_left, n_left * n_right)
+# Float scores within this many ulp of the best are settled exactly; the
+# float score a/nL + b/nR is within about 2 ulp of the exact one.
+_SCREEN_ULP = 16
 
 
 def best_split(X: np.ndarray, labels) -> tuple[int, float] | None:
     """Exhaustive minimum-Gini split; None when no feature separates.
 
-    Ties resolve to the lowest feature index, then the lowest threshold.
+    Minimizing the size-weighted Gini impurity is maximizing
+    a/nL + b/nR, where a and b are the sums of squared class counts on
+    each side. Ties resolve to the lowest feature index, then the lowest
+    threshold. Working memory is O(n·k) for n rows and k classes.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -154,35 +155,44 @@ def best_split(X: np.ndarray, labels) -> tuple[int, float] | None:
     if n < 2:
         return None
     k = int(y.max()) + 1
-    total = np.bincount(y, minlength=k)
+    onehot = np.eye(k, dtype=np.int64)[y]
+    total = onehot.sum(axis=0)
+    n_left = np.arange(1, n, dtype=np.int64)
+    n_right = n - n_left
 
-    best_score: Fraction | None = None
-    best_sf = -1
-    best_sv = 0.0
+    # (screen score, feature, a, b, nL, threshold), in (feature, threshold) order
+    kept: list[tuple[float, int, int, int, int, float]] = []
+    top = -np.inf
     for sf in range(d):
         order = np.argsort(X[:, sf], kind="stable")
         xs = X[order, sf]
-        ys = y[order]
-        left = np.zeros(k, dtype=np.int64)
-        right = total.copy()
-        a = 0                         # sum of squared left counts
-        b = int(np.sum(right * right))
-        for i in range(n - 1):
-            c = ys[i]
-            a += 2 * left[c] + 1
-            left[c] += 1
-            b -= 2 * right[c] - 1
-            right[c] -= 1
-            if xs[i + 1] == xs[i]:
-                continue
-            score = _exact_counts_score(a, b, i + 1, n - i - 1)
-            if best_score is None or score > best_score:
-                best_score = score
-                best_sf = sf
-                best_sv = (xs[i] + xs[i + 1]) / 2.0
-    if best_score is None:
+        left = np.cumsum(onehot[order[:-1]], axis=0)       # (n - 1, k)
+        right = total - left
+        a = np.einsum("ij,ij->i", left, left)
+        b = np.einsum("ij,ij->i", right, right)
+        score = a / n_left + b / n_right
+        score[xs[1:] == xs[:-1]] = -np.inf                 # no threshold between
+        feature_top = float(score.max())
+        if feature_top == -np.inf:
+            continue
+        top = max(top, feature_top)
+        for i in np.flatnonzero(score >= top - _SCREEN_ULP * np.spacing(top)):
+            kept.append((float(score[i]), sf, int(a[i]), int(b[i]), int(i) + 1,
+                         float((xs[i] + xs[i + 1]) / 2.0)))
+    if top == -np.inf:
         return None
-    return best_sf, float(best_sv)
+
+    # a/nL + b/nR = (a*nR + b*nL) / (nL*nR); compared in Python ints, which
+    # do not overflow where int64 cross-products would.
+    cut = top - _SCREEN_ULP * np.spacing(top)
+    best = None
+    for f, sf, a, b, nl, sv in kept:
+        if f < cut:
+            continue
+        num, den = a * (n - nl) + b * nl, nl * (n - nl)
+        if best is None or num * best[1] > best[0] * den:
+            best = (num, den, sf, sv)
+    return best[2], best[3]
 
 
 def _majority(labels: np.ndarray) -> int:

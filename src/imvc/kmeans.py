@@ -22,7 +22,8 @@ class KMeansResult:
 
 def _sq_dists(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     diff = Z[:, None, :] - centers[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    diff *= diff                # in place: one (n, k, d) temporary, not two
+    return diff.sum(axis=2)
 
 
 def kmeanspp_init(Z: np.ndarray, k: int, seed) -> np.ndarray:

@@ -3,7 +3,8 @@
 One pass visits nodes deepest-level-first: leaves take the majority
 pseudo-label of the instances reaching them, internal nodes re-pick
 their (feature, threshold) to minimize misrouting of the "care"
-instances (those whose final label depends on the left/right choice).
+instances (those whose final label depends on the left/right choice),
+exactly, in O(n log n) time per feature for the n instances at a node.
 The pass ends with empty-branch pruning and instance reallocation;
 the outer loop feeds the tree its own predictions until nothing moves.
 """
@@ -24,6 +25,30 @@ class CareInstance:
     index: int
     correct_left: bool
     correct_right: bool
+
+
+@dataclass(eq=False)
+class CareSet:
+    """The care instances of one node, as parallel arrays.
+
+    `len` is the number of care instances. Iterating yields them as
+    `CareInstance`s in row order, and a care set equals any sequence of
+    the same `CareInstance`s, so it reads like a list of them.
+    """
+    rows: np.ndarray             # indices into X, in the order of the reach set
+    correct_left: np.ndarray     # True where only the left subtree is right
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        for i, left in zip(self.rows.tolist(), self.correct_left.tolist()):
+            yield CareInstance(index=i, correct_left=left, correct_right=not left)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (CareSet, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def compute_reach(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
@@ -52,7 +77,7 @@ def relabel_leaf(tree: DecisionTree, leaf_id: int, idx: np.ndarray,
 
 
 def care_set(tree: DecisionTree, node_id: int, idx: np.ndarray,
-             X: np.ndarray, Y: np.ndarray) -> list[CareInstance]:
+             X: np.ndarray, Y: np.ndarray) -> CareSet:
     """Instances at node_id whose label is right on exactly one side.
 
     Instances correct on both sides or wrong on both sides cannot be
@@ -61,31 +86,21 @@ def care_set(tree: DecisionTree, node_id: int, idx: np.ndarray,
     node = tree.node(node_id)
     if node.kind != INTERNAL:
         raise ValueError(f"node {node_id} is not internal")
+    idx = np.asarray(idx, dtype=np.int64)
     if len(idx) == 0:
-        return []
+        return CareSet(rows=idx, correct_left=np.zeros(0, dtype=bool))
     X_idx = X[idx]
-    left_labels = tree.predict_batch(X_idx, start=node.left)
-    right_labels = tree.predict_batch(X_idx, start=node.right)
     y = Y[idx]
-    care = []
-    for pos, inst in enumerate(idx):
-        cl = left_labels[pos] == y[pos]
-        cr = right_labels[pos] == y[pos]
-        if cl != cr:
-            care.append(CareInstance(index=int(inst), correct_left=bool(cl),
-                                     correct_right=bool(cr)))
-    return care
+    correct_left = tree.predict_batch(X_idx, start=node.left) == y
+    correct_right = tree.predict_batch(X_idx, start=node.right) == y
+    care = correct_left != correct_right
+    return CareSet(rows=idx[care], correct_left=correct_left[care])
 
 
-def node_objective(node: TreeNode, X: np.ndarray,
-                   care: list[CareInstance]) -> int:
+def node_objective(node: TreeNode, X: np.ndarray, care: CareSet) -> int:
     """Count of care instances routed to their incorrect side."""
-    obj = 0
-    for c in care:
-        goes_left = X[c.index, node.split_feature] <= node.split_value
-        if goes_left != c.correct_left:
-            obj += 1
-    return obj
+    goes_left = X[care.rows, node.split_feature] <= node.split_value
+    return int(np.count_nonzero(goes_left != care.correct_left))
 
 
 def optimize_node(tree: DecisionTree, node_id: int, idx: np.ndarray,
@@ -94,7 +109,12 @@ def optimize_node(tree: DecisionTree, node_id: int, idx: np.ndarray,
 
     The current split is kept unless a candidate is strictly better;
     candidate ties resolve to the lowest misroute count, then lowest
-    feature, then lowest threshold.
+    feature, then lowest threshold. A care row right only on the left is
+    misrouted by the thresholds below its value, one right only on the
+    right by those at or above it, so the misroutes at every midpoint of
+    a feature are two `searchsorted` counts into the sorted care values:
+    O(n log n) time per feature and O(n·d) memory for n reaching rows
+    and d features.
     """
     node = tree.node(node_id)
     if node.kind != INTERNAL:
@@ -103,21 +123,22 @@ def optimize_node(tree: DecisionTree, node_id: int, idx: np.ndarray,
     if not care:
         return False
     current = node_objective(node, X, care)
-    care_idx = np.array([c.index for c in care])
-    correct_left = np.array([c.correct_left for c in care])
+    # one row per feature, each sorted
+    xs = np.sort(X[idx].T, axis=1)
+    want_left = np.sort(X[care.rows[care.correct_left]].T, axis=1)
+    want_right = np.sort(X[care.rows[~care.correct_left]].T, axis=1)
 
     best_obj = None
     best_sf = -1
     best_sv = 0.0
     for sf in range(X.shape[1]):
-        vals = np.unique(X[idx, sf])
-        if vals.size < 2:
+        lo, hi = xs[sf, :-1], xs[sf, 1:]
+        mids = ((lo + hi) / 2.0)[lo != hi]
+        if mids.size == 0:
             continue
-        mids = (vals[:-1] + vals[1:]) / 2.0
-        cv = X[care_idx, sf]
-        objs = np.sum((cv[None, :] <= mids[:, None]) != correct_left[None, :],
-                      axis=1)
-        pos = int(np.argmin(objs))    # lowest threshold wins ties in-feature
+        objs = (want_left.shape[1] - want_left[sf].searchsorted(mids, side="right")
+                + want_right[sf].searchsorted(mids, side="right"))
+        pos = int(objs.argmin())      # lowest threshold wins ties in-feature
         if best_obj is None or objs[pos] < best_obj:
             best_obj = int(objs[pos])
             best_sf = sf

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imvc.dtree import (
     INTERNAL,
@@ -40,6 +42,51 @@ def oracle_best_split(X, y):
     if best is None:
         return None
     return best[1], best[2]
+
+
+def fraction_scan_best_split(X, y):
+    """The one-candidate-at-a-time scan best_split used to be, as a reference.
+
+    Each threshold's score a/nL + b/nR is one exact Fraction, with a and b
+    the sums of squared class counts updated row by row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    total = np.bincount(y)
+    best = None
+    for sf in range(d):
+        order = np.argsort(X[:, sf], kind="stable")
+        xs, ys = X[order, sf], y[order]
+        left = np.zeros_like(total)
+        right = total.copy()
+        a, b = 0, int(np.sum(right * right))
+        for i in range(n - 1):
+            c = ys[i]
+            a += 2 * int(left[c]) + 1
+            left[c] += 1
+            b -= 2 * int(right[c]) - 1
+            right[c] -= 1
+            if xs[i + 1] == xs[i]:
+                continue
+            score = Fraction(a * (n - i - 1) + b * (i + 1), (i + 1) * (n - i - 1))
+            if best is None or score > best[0]:
+                best = (score, sf, float((xs[i] + xs[i + 1]) / 2.0))
+    return None if best is None else best[1:]
+
+
+@st.composite
+def small_integer_splits(draw):
+    """Small integer-valued X (many ties, some constant columns), k <= 5."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    X = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=float)
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    X[:, constant] = X[0, constant]
+    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    return X, y
 
 
 class TestGini:
@@ -107,6 +154,24 @@ class TestBestSplit:
             X = rng.integers(0, 4, size=(n, d)).astype(float)
             y = rng.integers(0, 3, size=n)
             assert best_split(X, y) == oracle_best_split(X, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_integer_splits())
+    def test_matches_oracle_on_ties_and_constant_columns(self, problem):
+        X, y = problem
+        assert best_split(X, y) == oracle_best_split(X, y)
+
+    @pytest.mark.parametrize("n", [12_000, 20_000])
+    def test_matches_fraction_scan_where_int64_products_overflow(self, n):
+        # comparing two scores by cross-multiplication takes products up
+        # to n**5 / 4, past the int64 range from n of about 12,000
+        rng = np.random.default_rng(n)
+        X = rng.integers(0, 40, size=(n, 3)).astype(float)
+        X[:, 2] = X[:, 1]                 # exact ties across features
+        y = np.where(rng.random(n) < 0.6, X[:, 1] // 14, rng.integers(0, 3, n))
+        assert best_split(X, y) == fraction_scan_best_split(X, y)
+        y = rng.integers(0, 3, n)
+        assert best_split(X, y) == fraction_scan_best_split(X, y)
 
 
 class TestBuildTree:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from imvc.kmeans import kmeans, kmeanspp_init, lloyd
+from imvc.kmeans import _sq_dists, kmeans, kmeanspp_init, lloyd
 
 
 def brute_force_sse(Z, k):
@@ -88,6 +88,15 @@ class TestLloyd:
         direct = float(np.sum((Z - result.centers[result.labels]) ** 2))
         assert result.sse == pytest.approx(direct, rel=1e-6)
         assert set(np.unique(result.labels)) == {0, 1, 2}
+
+    def test_distances_match_the_two_temporary_formula_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for n, d, k in [(1, 1, 1), (50, 3, 4), (600, 192, 3)]:
+            Z = 3.7 * rng.standard_normal((n, d))
+            centers = rng.standard_normal((k, d))
+            diff = Z[:, None, :] - centers[None, :, :]
+            np.testing.assert_array_equal(_sq_dists(Z, centers),
+                                          np.sum(diff * diff, axis=2))
 
 
 class TestProperties:

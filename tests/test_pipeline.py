@@ -177,6 +177,24 @@ class TestTreePhase:
         assert {i: n.label for i, n in state.tree.nodes.items()
                 if n.kind == LEAF} == leaves
 
+    def test_tree_loss_is_disagreement_with_pseudo_labels(self, small_dataset,
+                                                          monkeypatch):
+        views, truth = small_dataset
+        config = PipelineConfig(k=3, e1=10, max_depth=1, min_num=5, seed=6)
+        state = pipeline.initialize(views, config)
+        views64 = [np.asarray(v, float) for v in views]
+
+        def true_clusters(Z, k, seed):
+            return KMeansResult(labels=np.asarray(truth, dtype=np.int64),
+                                centers=np.zeros((k, Z.shape[1])),
+                                sse=0.0, iterations=1)
+
+        monkeypatch.setattr(pipeline, "run_kmeans", true_clusters)
+        pipeline.tree_phase(state, views64)
+        disagreement = int(np.sum(state.labels.hard != state.kmeans_labels))
+        assert disagreement > 0        # two leaves cannot hold three clusters
+        assert state.loss_history["tree"] == [disagreement]
+
 
 class TestFit:
     def test_zero_cycles_returns_initialization(self, small_dataset):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,7 +215,66 @@ class TestCareSet:
                         assert i not in lookup
 
 
+def oracle_optimize_node(tree, node_id, idx, X, Y):
+    """(changed, sf, sv) by brute force over every (feature, midpoint).
+
+    Counts the care-set misroutes of each candidate one row at a time and
+    keeps the current split unless some candidate misroutes fewer; ties go
+    to the lowest count, then feature, then threshold.
+    """
+    node = tree.node(node_id)
+    care = []
+    for i in idx:
+        left_ok = tree.predict(X[i], start=node.left) == Y[i]
+        right_ok = tree.predict(X[i], start=node.right) == Y[i]
+        if left_ok != right_ok:
+            care.append((i, left_ok))
+
+    def misroutes(sf, sv):
+        return sum((X[i, sf] <= sv) != left_ok for i, left_ok in care)
+
+    best = None
+    for sf in range(X.shape[1]):
+        vals = sorted(set(X[idx, sf].tolist()))
+        for lo, hi in zip(vals, vals[1:]):
+            key = (misroutes(sf, (lo + hi) / 2.0), sf, (lo + hi) / 2.0)
+            best = key if best is None else min(best, key)
+    current = misroutes(node.split_feature, node.split_value)
+    if care and best is not None and best[0] < current:
+        return True, best[1], best[2]
+    return False, node.split_feature, node.split_value
+
+
+def assert_every_node_matches_brute_force(tree, X, Y):
+    """optimize_node on each internal node of a copy agrees with the oracle."""
+    reach = compute_reach(tree, X)
+    for node in tree.nodes.values():
+        if node.kind != INTERNAL:
+            continue
+        expected = oracle_optimize_node(tree, node.id, reach[node.id], X, Y)
+        trial = copy.deepcopy(tree)
+        changed = optimize_node(trial, node.id, reach[node.id], X, Y)
+        got = trial.node(node.id)
+        assert (changed, got.split_feature, got.split_value) == expected
+
+
 class TestOptimizeNode:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_on_random_trees(self, seed):
+        # integer-valued features: many duplicates, rows on thresholds, ties
+        tree, X = random_tree(seed)
+        assert_every_node_matches_brute_force(
+            tree, X, np.random.default_rng(seed).integers(0, 3, size=len(X)))
+
+    def test_matches_brute_force_on_grown_trees(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            X = np.round(rng.standard_normal((80, 3)), 1)
+            tree = build_tree(X, rng.integers(0, 3, size=80), 4, 2)
+            assert_every_node_matches_brute_force(tree, X,
+                                                  rng.integers(0, 3, size=80))
+
     def test_toy_objective_drops_from_one_to_zero(self):
         tree, X, Y = toy_three_label_instance()
         reach = compute_reach(tree, X)
