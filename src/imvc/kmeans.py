@@ -21,9 +21,14 @@ class KMeansResult:
 
 
 def _sq_dists(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = Z[:, None, :] - centers[None, :, :]
-    diff *= diff                # in place: one (n, k, d) temporary, not two
-    return diff.sum(axis=2)
+    """(n, k) squared distances, one center at a time through one (n, d) buffer."""
+    d2 = np.empty((Z.shape[0], centers.shape[0]))
+    diff = np.empty_like(Z)
+    for j, center in enumerate(centers):
+        np.subtract(Z, center, out=diff)
+        diff *= diff
+        np.sum(diff, axis=1, out=d2[:, j])
+    return d2
 
 
 def kmeanspp_init(Z: np.ndarray, k: int, seed) -> np.ndarray:

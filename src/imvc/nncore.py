@@ -4,6 +4,13 @@ Everything here is plain numpy (float64). Each view gets its own
 autoencoder; the encoder output is the embedding used downstream.
 Losses: sum-of-squares reconstruction, cross-entropy against a one-hot
 target through a Student's-t soft assignment, and their weighted sum.
+
+A training run allocates its per-epoch arrays once: a Workspace, built
+for the batch's row count (and center count when the cross-entropy term
+is on), holds every activation, mask, delta, soft-assignment buffer and
+gradient that loss_and_grads fills with `out=` operations, and AdamState
+holds the scratch that adam_step updates in place. The floats are those
+of the allocate-per-call formulas, operation for operation.
 """
 
 from __future__ import annotations
@@ -16,6 +23,14 @@ _ACTIVATIONS = ("relu", "linear")
 
 # clamp for log() inside the cross-entropy; avoids -inf on saturated rows
 LOG_EPS = 1e-12
+
+# A ufunc that broadcasts an operand (the bias add, the soft assignment's
+# row and center terms) or casts one (the ReLU's bool mask) allocates an
+# iterator buffer of numpy's bufsize elements per such operand, 64 KB at
+# the default of 8192. Only the mask passes through it, and bool to float
+# is exact, so a smaller buffer changes no float and keeps those
+# allocations out of the epoch.
+_UFUNC_BUFSIZE = 512
 
 
 class DimensionError(ValueError):
@@ -103,93 +118,170 @@ class Autoencoder:
             decoder.append(DenseLayer(glorot_uniform(fi, fo, rng), np.zeros(fo), act))
         return cls(encoder, decoder, view_index=view_index)
 
+    @property
+    def layers(self) -> list[DenseLayer]:
+        """Encoder then decoder layers, the order of parameters()."""
+        return [*self.encoder, *self.decoder]
+
     def parameters(self) -> list[np.ndarray]:
         """Flat parameter list in a fixed order (shared with gradients)."""
         out = []
-        for layer in (*self.encoder, *self.decoder):
+        for layer in self.layers:
             out.append(layer.w)
             out.append(layer.b)
         return out
 
-    def _run(self, layers, x, caches):
-        for layer in layers:
-            pre = x @ layer.w + layer.b
-            caches.append((x, pre, layer))
-            x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+    @staticmethod
+    def _run(layers, x, outs):
+        """Fill outs[i] with act(x @ w + b) of layer i; return the last."""
+        for layer, out in zip(layers, outs):
+            np.matmul(x, layer.w, out=out)
+            out += layer.b
+            if layer.activation == "relu":
+                np.maximum(out, 0.0, out=out)
+            x = out
         return x
 
-    def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (embedding Z, reconstruction Xhat)."""
+    def _check_input(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise DimensionError(
                 f"expected input with {self.input_dim} features, got {X.shape}"
             )
-        Z = self._run(self.encoder, X, [])
-        Xhat = self._run(self.decoder, Z, [])
+        return X
+
+    def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return (embedding Z, reconstruction Xhat)."""
+        X = self._check_input(X)
+        outs = [np.empty((X.shape[0], layer.out_dim)) for layer in self.layers]
+        ne = len(self.encoder)
+        Z = self._run(self.encoder, X, outs[:ne])
+        Xhat = self._run(self.decoder, Z, outs[ne:])
         return Z, Xhat
 
-    def loss_and_grads(self, X, yind=None, centers=None, lam: float = 0.0):
+    def loss_and_grads(self, X, yind=None, centers=None, lam: float = 0.0,
+                       ws: "Workspace | None" = None):
         """Losses and exact analytic gradients of Lr + lam * Lce.
 
         Returns (recon_loss, ce_loss, grads, center_grad) where grads is
         aligned with parameters() and center_grad is None unless centers
         are supplied with lam > 0.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"expected input with {self.input_dim} features, got {X.shape}"
-            )
-        enc_caches: list = []
-        dec_caches: list = []
-        Z = self._run(self.encoder, X, enc_caches)
-        Xhat = self._run(self.decoder, Z, dec_caches)
 
-        recon = float(np.sum((Xhat - X) ** 2))
+        Every intermediate array is written into `ws`, a Workspace built
+        for this autoencoder, X's row count and the number of centers; the
+        returned gradients are arrays of `ws`, so the next call with the
+        same `ws` overwrites them. Without `ws` a fresh one is built, so
+        the returned arrays are the caller's.
+        """
+        X = self._check_input(X)
+        use_ce = lam > 0.0 and yind is not None
+        if use_ce and centers is None:
+            raise ValueError("cross-entropy loss requires cluster centers")
+        k = centers.shape[0] if use_ce else 0
+        if ws is None:
+            ws = Workspace(self, X.shape[0], k)
+        ws.check(self, X.shape[0], k)
+        with np.errstate():     # restores numpy's buffer size on exit
+            np.setbufsize(_UFUNC_BUFSIZE)
+            return self._fill(ws, X, yind, centers, lam)
+
+    def _fill(self, ws, X, yind, centers, lam):
+        """The body of loss_and_grads: every array written lives in ws."""
+        use_ce = ws.k > 0
+        layers = self.layers
+        ne = len(self.encoder)
+        Z = self._run(self.encoder, X, ws.out[:ne])
+        Xhat = self._run(self.decoder, Z, ws.out[ne:])
+
+        # the output delta first holds the squared residual for the loss
+        np.subtract(Xhat, X, out=ws.res)
+        recon = float(np.sum(np.square(ws.res, out=ws.delta[-1])))
+        np.multiply(ws.res, 2.0, out=ws.delta[-1])
 
         ce = 0.0
-        dZ_ce = None
         center_grad = None
-        if lam > 0.0 and yind is not None:
-            if centers is None:
-                raise ValueError("cross-entropy loss requires cluster centers")
+        if use_ce:
             yind = np.asarray(yind, dtype=np.float64)
-            diff = Z[:, None, :] - centers[None, :, :]        # (N, K, d)
-            d2 = np.sum(diff * diff, axis=2)                  # (N, K)
-            a = 1.0 / (1.0 + d2)
-            s = a / np.sum(a, axis=1, keepdims=True)
-            ce = float(-np.sum(yind * np.log(np.clip(s, LOG_EPS, None))))
+            a, g = ws.kernel, ws.g
+            s = soft_assignment(Z, centers, out=ws.s, kernel=a, diff=ws.diff,
+                                rowsum=ws.col)
+            ce = cross_entropy_loss(yind, s, out=g)
             # dLce/d(d2_ij) = a_ij * (y_ij - rowsum(y)_i * s_ij)
-            g = a * (yind - yind.sum(axis=1, keepdims=True) * s)
-            dZ_ce = 2.0 * (g.sum(axis=1, keepdims=True) * Z - g @ centers)
-            center_grad = lam * 2.0 * (g.sum(axis=0)[:, None] * centers - g.T @ Z)
+            np.multiply(np.sum(yind, axis=1, keepdims=True, out=ws.col), s, out=g)
+            np.subtract(yind, g, out=g)
+            g *= a
+            # dZ term: lam * 2 (rowsum(g) Z - g C), added to the decoder's dZ
+            dz = np.multiply(np.sum(g, axis=1, keepdims=True, out=ws.col), Z,
+                             out=ws.dz)
+            dz -= np.matmul(g, centers, out=ws.gc)
+            dz *= 2.0
+            dz *= lam
+            # center gradient: lam * 2 (colsum(g) C - g^T Z)
+            center_grad = np.multiply(np.sum(g, axis=0, out=ws.ksum)[:, None],
+                                      centers, out=ws.center_grad)
+            center_grad -= np.matmul(g.T, Z, out=ws.gtz)
+            center_grad *= lam * 2.0
 
-        def backprop(caches, grad_out):
-            grads_wb = []
-            g = grad_out
-            for x_in, pre, layer in reversed(caches):
-                if layer.activation == "relu":
-                    g = g * (pre > 0)
-                grads_wb.append((x_in.T @ g, g.sum(axis=0)))
-                g = g @ layer.w.T
-            grads_wb.reverse()
-            return grads_wb, g
-
-        dec_grads, dZ_rec = backprop(dec_caches, 2.0 * (Xhat - X))
-        dZ = dZ_rec if dZ_ce is None else dZ_rec + lam * dZ_ce
-        enc_grads, _ = backprop(enc_caches, dZ)
-
-        grads = []
-        for dw, db in (*enc_grads, *dec_grads):
-            grads.append(dw)
-            grads.append(db)
+        grads = ws.grads
+        for i in range(len(layers) - 1, -1, -1):
+            g = ws.delta[i]
+            if use_ce and i == ne - 1:
+                g += ws.dz
+            if ws.mask[i] is not None:
+                # act > 0 exactly where pre > 0; multiplying by the bool
+                # mask keeps the signed zeros of g
+                g *= np.greater(ws.out[i], 0.0, out=ws.mask[i])
+            x_in = X if i == 0 else ws.out[i - 1]
+            np.matmul(x_in.T, g, out=grads[2 * i])
+            np.sum(g, axis=0, out=grads[2 * i + 1])
+            if i > 0:       # the input layer's delta is never used
+                np.matmul(g, layers[i].w.T, out=ws.delta[i - 1])
         return recon, ce, grads, center_grad
 
-    def backward(self, X, yind=None, centers=None, lam: float = 0.0):
-        """Gradients only (see loss_and_grads)."""
-        _, _, grads, center_grad = self.loss_and_grads(X, yind, centers, lam)
-        return grads, center_grad
+
+class Workspace:
+    """Every array one loss_and_grads call writes, built once per run.
+
+    For an autoencoder, a batch of n rows and k centers (k = 0 when the
+    cross-entropy term is off) it holds, per layer, the activation (ReLU
+    applied in place over the pre-activation), the ReLU mask and the
+    backward delta; the reconstruction residual; the soft-assignment and
+    cross-entropy buffers; and the gradient arrays loss_and_grads returns.
+    """
+
+    def __init__(self, ae: Autoencoder, n: int, k: int = 0):
+        layers = ae.layers
+        self.n, self.k = n, k
+        self.shapes = [layer.w.shape for layer in layers]
+        self.out = [np.empty((n, layer.out_dim)) for layer in layers]
+        self.mask = [np.empty((n, layer.out_dim), dtype=bool)
+                     if layer.activation == "relu" else None for layer in layers]
+        self.delta = [np.empty((n, layer.out_dim)) for layer in layers]
+        self.res = np.empty((n, ae.input_dim))
+        self.grads = []
+        for layer in layers:
+            self.grads.append(np.empty_like(layer.w))
+            self.grads.append(np.empty_like(layer.b))
+        if k:
+            d = ae.embed_dim
+            self.diff = np.empty((n, k, d))
+            self.kernel = np.empty((n, k))
+            self.s = np.empty((n, k))
+            self.g = np.empty((n, k))
+            self.col = np.empty((n, 1))
+            self.ksum = np.empty(k)
+            self.dz = np.empty((n, d))
+            self.gc = np.empty((n, d))
+            self.center_grad = np.empty((k, d))
+            self.gtz = np.empty((k, d))
+
+    def check(self, ae: Autoencoder, n: int, k: int) -> None:
+        shapes = [layer.w.shape for layer in ae.layers]
+        if (n, k) != (self.n, self.k) or shapes != self.shapes:
+            raise DimensionError(
+                f"workspace built for n={self.n}, k={self.k}, layers "
+                f"{self.shapes}; called with n={n}, k={k}, layers {shapes}"
+            )
 
 
 def reconstruction_loss(Xhat: np.ndarray, X: np.ndarray) -> float:
@@ -201,8 +293,15 @@ def reconstruction_loss(Xhat: np.ndarray, X: np.ndarray) -> float:
     return float(np.sum((Xhat - X) ** 2))
 
 
-def soft_assignment(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Student's-t similarity of each embedding to each center, row-normalized."""
+def soft_assignment(Z: np.ndarray, centers: np.ndarray, out=None, kernel=None,
+                    diff=None, rowsum=None) -> np.ndarray:
+    """Student's-t similarity of each embedding to each center, row-normalized.
+
+    With n rows, k centers and d dims, the optional arrays are filled
+    instead of allocated: `out` (n, k) gets the result s, `kernel` (n, k)
+    the unnormalized a = 1 / (1 + |z - c|^2) that the gradient needs, and
+    `diff` (n, k, d) and `rowsum` (n, 1) are scratch.
+    """
     Z = np.asarray(Z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 1:
@@ -211,18 +310,27 @@ def soft_assignment(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"embedding dim {Z.shape[1]} != center dim {centers.shape[1]}"
         )
-    diff = Z[:, None, :] - centers[None, :, :]
-    a = 1.0 / (1.0 + np.sum(diff * diff, axis=2))
-    return a / np.sum(a, axis=1, keepdims=True)
+    diff = np.subtract(Z[:, None, :], centers[None, :, :], out=diff)
+    diff *= diff
+    a = np.sum(diff, axis=2, out=kernel)
+    a += 1.0
+    np.divide(1.0, a, out=a)
+    return np.divide(a, np.sum(a, axis=1, keepdims=True, out=rowsum), out=out)
 
 
-def cross_entropy_loss(yind: np.ndarray, s: np.ndarray) -> float:
-    """-sum y_ij log s_ij with probabilities clamped at LOG_EPS."""
+def cross_entropy_loss(yind: np.ndarray, s: np.ndarray, out=None) -> float:
+    """-sum y_ij log s_ij with probabilities clamped at LOG_EPS.
+
+    `out`, an array shaped like s, is used as scratch when given.
+    """
     yind = np.asarray(yind, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if yind.shape != s.shape:
         raise DimensionError(f"shape mismatch: {yind.shape} vs {s.shape}")
-    return float(-np.sum(yind * np.log(np.clip(s, LOG_EPS, None))))
+    terms = np.clip(s, LOG_EPS, None, out=out)
+    np.log(terms, out=terms)
+    terms *= yind
+    return float(-np.sum(terms))
 
 
 def combined_loss(recon: float, ce: float, lam: float) -> float:
@@ -234,7 +342,11 @@ def combined_loss(recon: float, ce: float, lam: float) -> float:
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments plus shared hyperparameters."""
+    """Per-parameter Adam moments plus shared hyperparameters.
+
+    `scratch` holds, per parameter, two float arrays and a bool array of
+    its shape, which adam_step reuses instead of allocating.
+    """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
@@ -243,6 +355,15 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=list, repr=False)
+
+    def __post_init__(self):
+        if not self.scratch:
+            self.scratch = [
+                (np.empty_like(m), np.empty_like(m), np.empty(m.shape, dtype=bool))
+                for m in self.m
+            ]
 
     @classmethod
     def create(cls, params: list[np.ndarray], lr: float = 0.001,
@@ -259,18 +380,31 @@ class AdamState:
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: AdamState) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction.
+
+    Every gradient is checked finite before any parameter or moment
+    changes. Evaluates m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps) in the state's scratch.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise DimensionError("params/grads/state lengths differ")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
+    for g, (_, _, finite) in zip(grads, state.scratch):
+        if not np.isfinite(g, out=finite).all():
             raise FloatingPointError("non-finite gradient in adam_step")
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (t, den, _) in zip(params, grads, state.m, state.v,
+                                       state.scratch):
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=t)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(g, 1.0 - state.beta2, out=t)
+        v += np.multiply(t, g, out=t)
+        np.divide(m, bc1, out=t)
+        t *= state.lr
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        t /= den
+        p -= t

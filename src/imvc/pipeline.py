@@ -51,14 +51,18 @@ class PipelineConfig:
 @dataclass
 class LabelSet:
     hard: np.ndarray         # (n,) ints in [0, k)
-    indicator: np.ndarray    # (n, k) one-hot
+    k: int
 
     @classmethod
     def from_hard(cls, hard: np.ndarray, k: int) -> "LabelSet":
-        hard = np.asarray(hard, dtype=np.int64)
-        indicator = np.zeros((hard.shape[0], k), dtype=np.float64)
-        indicator[np.arange(hard.shape[0]), hard] = 1.0
-        return cls(hard=hard, indicator=indicator)
+        return cls(hard=np.asarray(hard, dtype=np.int64), k=k)
+
+    @property
+    def indicator(self) -> np.ndarray:
+        """(n, k) one-hot of `hard`, built on each access."""
+        indicator = np.zeros((self.hard.shape[0], self.k), dtype=np.float64)
+        indicator[np.arange(self.hard.shape[0]), self.hard] = 1.0
+        return indicator
 
 
 @dataclass
@@ -137,15 +141,19 @@ def _embed_all(state: ModelState, views: list[np.ndarray]) -> list[np.ndarray]:
 
 def _train_view(ae: nncore.Autoencoder, X: np.ndarray, epochs: int, lr: float,
                 yind=None, centers=None, lam: float = 0.0) -> list[float]:
+    X = np.asarray(X, dtype=np.float64)
     params = ae.parameters()
     train_centers = centers is not None and lam > 0.0
     if train_centers:
         params = params + [centers]
     adam = nncore.AdamState.create(params, lr=lr)
+    k = centers.shape[0] if train_centers and yind is not None else 0
+    ws = nncore.Workspace(ae, X.shape[0], k)
     history = []
     for _ in range(epochs):
         recon, ce, grads, cgrad = ae.loss_and_grads(X, yind=yind,
-                                                    centers=centers, lam=lam)
+                                                    centers=centers, lam=lam,
+                                                    ws=ws)
         history.append(nncore.combined_loss(recon, ce, lam))
         if train_centers:
             grads = grads + [cgrad]
@@ -225,14 +233,14 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
     X = np.hstack(views)
     yhard = state.tree.predict_batch(X)
     state.labels = LabelSet.from_hard(yhard, config.k)
+    yind = state.labels.indicator
     traces = []
     for v, (ae, view) in enumerate(zip(state.autoencoders, views)):
         Z = ae.forward(view)[0]
         rng = np.random.default_rng([config.seed, 200, cycle, v])
         centers = init_centers(Z, yhard, config.k, rng)
-        trace = _train_view(ae, view, config.e2, config.lr,
-                            yind=state.labels.indicator, centers=centers,
-                            lam=config.lam)
+        trace = _train_view(ae, view, config.e2, config.lr, yind=yind,
+                            centers=centers, lam=config.lam)
         state.centers[v] = centers
         traces.append(trace)
     state.loss_history["feature"].append(traces)

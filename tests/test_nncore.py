@@ -189,7 +189,7 @@ class TestBackward:
         enc = [DenseLayer(np.eye(2), np.zeros(2), "linear")]
         dec = [DenseLayer(np.eye(2), np.zeros(2), "linear")]
         ae = Autoencoder(enc, dec)
-        grads, _ = ae.backward(np.array([[1.0, -2.0]]))
+        grads = ae.loss_and_grads(np.array([[1.0, -2.0]]))[2]
         for g in grads:
             np.testing.assert_allclose(g, 0.0)
 
@@ -198,7 +198,7 @@ class TestBackward:
         ae = tiny_ae(input_dim=4, hidden=(5, 3), seed=3)
         X = rng.standard_normal((6, 4))
         params = ae.parameters()
-        analytic, _ = ae.backward(X)
+        analytic = ae.loss_and_grads(X)[2]
         numeric = numeric_gradients(
             lambda: ae.loss_and_grads(X)[0], params)
         assert max_rel_error(analytic, numeric) <= 1e-4
@@ -217,16 +217,16 @@ class TestBackward:
             recon, ce, _, _ = ae.loss_and_grads(X, yind, centers, lam)
             return combined_loss(recon, ce, lam)
 
-        grads, cgrad = ae.backward(X, yind, centers, lam)
+        grads, cgrad = ae.loss_and_grads(X, yind, centers, lam)[2:]
         numeric = numeric_gradients(loss, params)
         assert max_rel_error(grads + [cgrad], numeric) <= 1e-4
 
     def test_lambda_zero_equals_pure_reconstruction(self):
         ae = tiny_ae(seed=9)
         X = np.random.default_rng(9).standard_normal((5, 3))
-        pure, _ = ae.backward(X)
-        mixed, cgrad = ae.backward(X, yind=np.ones((5, 2)) / 2,
-                                   centers=np.zeros((2, 2)), lam=0.0)
+        pure = ae.loss_and_grads(X)[2]
+        mixed, cgrad = ae.loss_and_grads(X, yind=np.ones((5, 2)) / 2,
+                                         centers=np.zeros((2, 2)), lam=0.0)[2:]
         assert cgrad is None
         for a, b in zip(pure, mixed):
             np.testing.assert_array_equal(a, b)

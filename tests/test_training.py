@@ -1,0 +1,255 @@
+"""Autoencoder training against an allocate-per-call reference.
+
+`reference_loss_and_grads` and `reference_adam_step` are the formulas as
+they were before training reused a Workspace and Adam scratch: every
+intermediate is a fresh array. Training through `pipeline._train_view`
+must reproduce them bit for bit.
+"""
+
+import copy
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from imvc import nncore, pipeline
+from imvc.nncore import LOG_EPS, AdamState, Autoencoder, Workspace, adam_step
+
+
+def reference_loss_and_grads(ae, X, yind=None, centers=None, lam=0.0):
+    def run(layers, x, caches):
+        for layer in layers:
+            pre = x @ layer.w + layer.b
+            caches.append((x, pre, layer))
+            x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        return x
+
+    enc_caches, dec_caches = [], []
+    Z = run(ae.encoder, X, enc_caches)
+    Xhat = run(ae.decoder, Z, dec_caches)
+    recon = float(np.sum((Xhat - X) ** 2))
+
+    ce, dZ_ce, center_grad = 0.0, None, None
+    if lam > 0.0 and yind is not None:
+        diff = Z[:, None, :] - centers[None, :, :]
+        d2 = np.sum(diff * diff, axis=2)
+        a = 1.0 / (1.0 + d2)
+        s = a / np.sum(a, axis=1, keepdims=True)
+        ce = float(-np.sum(yind * np.log(np.clip(s, LOG_EPS, None))))
+        g = a * (yind - yind.sum(axis=1, keepdims=True) * s)
+        dZ_ce = 2.0 * (g.sum(axis=1, keepdims=True) * Z - g @ centers)
+        center_grad = lam * 2.0 * (g.sum(axis=0)[:, None] * centers - g.T @ Z)
+
+    def backprop(caches, grad_out):
+        grads_wb = []
+        g = grad_out
+        for x_in, pre, layer in reversed(caches):
+            if layer.activation == "relu":
+                g = g * (pre > 0)
+            grads_wb.append((x_in.T @ g, g.sum(axis=0)))
+            g = g @ layer.w.T
+        grads_wb.reverse()
+        return grads_wb, g
+
+    dec_grads, dZ_rec = backprop(dec_caches, 2.0 * (Xhat - X))
+    dZ = dZ_rec if dZ_ce is None else dZ_rec + lam * dZ_ce
+    enc_grads, _ = backprop(enc_caches, dZ)
+    grads = []
+    for dw, db in (*enc_grads, *dec_grads):
+        grads.append(dw)
+        grads.append(db)
+    return recon, ce, grads, center_grad
+
+
+def reference_adam_step(params, grads, state):
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError("non-finite gradient in adam_step")
+    state.step += 1
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def reference_train_view(ae, X, epochs, lr, yind=None, centers=None, lam=0.0):
+    params = ae.parameters()
+    train_centers = centers is not None and lam > 0.0
+    if train_centers:
+        params = params + [centers]
+    adam = AdamState.create(params, lr=lr)
+    history = []
+    for _ in range(epochs):
+        recon, ce, grads, cgrad = reference_loss_and_grads(ae, X, yind,
+                                                           centers, lam)
+        history.append(recon + lam * ce)
+        if train_centers:
+            grads = grads + [cgrad]
+        reference_adam_step(params, grads, adam)
+    return history
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_training(ae, X, epochs, lr, yind=None, centers=None, lam=0.0):
+    """Train twins of ae and centers both ways; every bit must agree."""
+    ref_ae, ref_centers = copy.deepcopy(ae), copy.deepcopy(centers)
+    got = pipeline._train_view(ae, X, epochs, lr, yind=yind, centers=centers,
+                               lam=lam)
+    want = reference_train_view(ref_ae, X, epochs, lr, yind=yind,
+                                centers=ref_centers, lam=lam)
+    assert got == want
+    for p, q in zip(ae.parameters(), ref_ae.parameters()):
+        assert_bits_equal(p, q)
+    if centers is not None:
+        assert_bits_equal(centers, ref_centers)
+
+
+def one_hot(hard, k):
+    yind = np.zeros((len(hard), k))
+    yind[np.arange(len(hard)), hard] = 1.0
+    return yind
+
+
+@st.composite
+def training_problems(draw):
+    n = draw(st.integers(1, 9))
+    input_dim = draw(st.integers(1, 4))
+    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    k = draw(st.integers(1, 4))
+    lam = draw(st.sampled_from([0.0, 0.1, 2.5]))
+    seed = draw(st.integers(0, 2**16))
+    ae = Autoencoder.create(input_dim, hidden, seed=seed)
+    # kill some ReLU units: a bias far below any pre-activation keeps them at 0
+    for layer in ae.layers:
+        if layer.activation == "relu":
+            dead = draw(st.lists(st.booleans(), min_size=layer.out_dim,
+                                 max_size=layer.out_dim))
+            layer.b[np.asarray(dead, dtype=bool)] = -1e3
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, input_dim))
+    yind = one_hot(rng.integers(k, size=n), k)
+    centers = rng.standard_normal((k, hidden[-1]))
+    return ae, X, yind, centers, lam
+
+
+class TestTrainViewOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(training_problems())
+    def test_bitwise_equal_to_reference(self, problem):
+        ae, X, yind, centers, lam = problem
+        assert_same_training(ae, X, 4, 0.01, yind=yind, centers=centers,
+                             lam=lam)
+
+    @settings(max_examples=20, deadline=None)
+    @given(training_problems())
+    def test_pretraining_bitwise_equal_to_reference(self, problem):
+        ae, X, _, _, _ = problem
+        assert_same_training(ae, X, 4, 0.01)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_acceptance_shape_bitwise_equal(self, lam):
+        rng = np.random.default_rng(5)
+        ae = Autoencoder.create(8, pipeline.EMBED_DIMS, seed=[0, 1, 1])
+        X = rng.standard_normal((600, 8))
+        yind = one_hot(rng.integers(3, size=600), 3)
+        centers = 0.1 * rng.standard_normal((3, pipeline.EMBED_DIMS[-1]))
+        assert_same_training(ae, X, 12, 0.001, yind=yind, centers=centers,
+                             lam=lam)
+
+
+class TestWorkspace:
+    def problem(self, n=7, k=3, seed=0):
+        rng = np.random.default_rng(seed)
+        ae = Autoencoder.create(4, (6, 3), seed=seed)
+        X = rng.standard_normal((n, 4))
+        yind = one_hot(rng.integers(k, size=n), k)
+        centers = rng.standard_normal((k, 3))
+        return ae, X, yind, centers
+
+    def test_reused_workspace_equals_fresh(self):
+        ae, X, yind, centers = self.problem()
+        ws = Workspace(ae, X.shape[0], 3)
+        ae.loss_and_grads(2.0 * X + 1.0, yind, centers, 0.1, ws=ws)
+        reused = ae.loss_and_grads(X, yind, centers, 0.1, ws=ws)
+        fresh = ae.loss_and_grads(X, yind, centers, 0.1)
+        assert reused[:2] == fresh[:2]
+        for a, b in zip(reused[2] + [reused[3]], fresh[2] + [fresh[3]]):
+            assert_bits_equal(a, b)
+
+    def test_grads_without_workspace_are_not_overwritten(self):
+        ae, X, yind, centers = self.problem()
+        _, _, grads, cgrad = ae.loss_and_grads(X, yind, centers, 0.1)
+        kept = [g.copy() for g in grads + [cgrad]]
+        ae.loss_and_grads(3.0 * X, yind, 2.0 * centers, 0.1)
+        for g, k in zip(grads + [cgrad], kept):
+            assert_bits_equal(g, k)
+
+    def test_mismatched_workspace_rejected(self):
+        ae, X, yind, centers = self.problem()
+        with pytest.raises(nncore.DimensionError):
+            ae.loss_and_grads(X, ws=Workspace(ae, X.shape[0] + 1))
+        with pytest.raises(nncore.DimensionError):
+            ae.loss_and_grads(X, yind, centers, 0.1, ws=Workspace(ae, X.shape[0]))
+        other = Autoencoder.create(4, (5, 3), seed=0)
+        with pytest.raises(nncore.DimensionError):
+            ae.loss_and_grads(X, ws=Workspace(other, X.shape[0]))
+
+
+class TestEpochAllocation:
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_epoch_allocates_under_64kb(self, lam):
+        rng = np.random.default_rng(0)
+        ae = Autoencoder.create(8, pipeline.EMBED_DIMS, seed=0)
+        X = rng.standard_normal((600, 8))
+        yind = one_hot(rng.integers(3, size=600), 3)
+        centers = rng.standard_normal((3, pipeline.EMBED_DIMS[-1]))
+        params = ae.parameters() + ([centers] if lam else [])
+        adam = AdamState.create(params)
+        ws = Workspace(ae, 600, 3 if lam else 0)
+
+        def epoch():
+            _, _, grads, cgrad = ae.loss_and_grads(X, yind, centers, lam, ws=ws)
+            adam_step(params, grads + ([cgrad] if lam else []), adam)
+
+        epoch()
+        tracemalloc.start()
+        try:
+            epoch()     # warm: first traced call may intern small objects
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            epoch()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 64 * 1024
+
+
+class TestAdamFailure:
+    def test_non_finite_gradient_changes_nothing(self):
+        rng = np.random.default_rng(1)
+        params = [rng.standard_normal((3, 2)), rng.standard_normal(2),
+                  rng.standard_normal((2, 2))]
+        state = AdamState.create(params, lr=0.01)
+        for _ in range(3):
+            adam_step(params, [rng.standard_normal(p.shape) for p in params],
+                      state)
+        before = [a.copy() for a in (*params, *state.m, *state.v)]
+        for bad in (np.nan, np.inf, -np.inf):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            grads[-1][1, 0] = bad
+            with pytest.raises(FloatingPointError):
+                adam_step(params, grads, state)
+            assert state.step == 3
+            for a, b in zip((*params, *state.m, *state.v), before):
+                assert_bits_equal(a, b)
