@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import imvc
 from imvc import data as dataio
@@ -298,3 +302,50 @@ def test_fit_reproducible_bytes(tmp_path, small_dataset):
         state = pipeline.fit(views, PipelineConfig(**vars(config)))
         dataio.save_model(state, tmp_path / name)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+DEGENERATE_KINDS = ["n_equals_k", "constant_columns", "duplicate_rows",
+                    "one_view", "one_feature_per_view"]
+
+
+@st.composite
+def degenerate_problems(draw, kind):
+    """Valid views of one degenerate kind, with a short-training config."""
+    k = draw(st.integers(2, 4))
+    n = k if kind == "n_equals_k" else draw(st.integers(k, 12))
+    n_views = 1 if kind == "one_view" else draw(st.integers(1, 3))
+    if kind == "one_feature_per_view":
+        dims = [1] * n_views
+    else:
+        dims = [draw(st.integers(1, 3)) for _ in range(n_views)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "duplicate_rows":
+        distinct = draw(st.integers(1, min(n, k + 1)))
+        rows = rng.integers(distinct, size=n)
+        views = [rng.standard_normal((distinct, d))[rows] for d in dims]
+    else:
+        views = [rng.standard_normal((n, d)) for d in dims]
+    if kind == "constant_columns":
+        for view in views:
+            constant = draw(st.lists(st.booleans(), min_size=view.shape[1],
+                                     max_size=view.shape[1]))
+            view[:, constant] = draw(st.sampled_from([0.0, 1.0, -2.5]))
+        views[0][:, 0] = 3.0
+    config = PipelineConfig(k=k, e1=3, e2=3, min_num=draw(st.integers(1, 3)),
+                            seed=draw(st.integers(0, 100)),
+                            standardize=draw(st.booleans()))
+    return views, config
+
+
+@pytest.mark.parametrize("kind", DEGENERATE_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_degenerate_inputs_fit_and_route_every_row(kind, data):
+    views, config = data.draw(degenerate_problems(kind))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = pipeline.fit(views, config)
+        labels = state.predict(views)
+    assert labels.shape == (views[0].shape[0],)
+    assert labels.min() >= 0 and labels.max() < config.k
+    np.testing.assert_array_equal(labels, state.labels.hard)
