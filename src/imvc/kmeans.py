@@ -15,11 +15,12 @@ on the number of workers.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import parallel
 
 
 @dataclass
@@ -150,11 +151,7 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 300,
 
 def _worker_count(n_restarts: int) -> int:
     """Threads for the restarts: one per usable CPU, at most one per restart."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_restarts))
+    return max(1, min(parallel.usable_cpus(), n_restarts))
 
 
 def _run_restarts(Z: np.ndarray, k: int, seed, restarts: range, max_iter: int,

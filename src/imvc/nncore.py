@@ -7,10 +7,14 @@ target through a Student's-t soft assignment, and their weighted sum.
 
 A training run allocates its per-epoch arrays once: a Workspace, built
 for the batch's row count (and center count when the cross-entropy term
-is on), holds every activation, mask, delta, soft-assignment buffer and
+is on), holds every activation, mask, soft-assignment buffer and
 gradient that loss_and_grads fills with `out=` operations, and AdamState
-holds the scratch that adam_step updates in place. The floats are those
-of the allocate-per-call formulas, operation for operation.
+holds the scratch that adam_step updates in place. The backward pass
+writes each layer's delta over an activation it no longer needs, so only
+the output layer has a delta array of its own, and the soft assignment
+takes its distances one center at a time through an (n, d) `diff`
+buffer. The floats are those of the allocate-per-call formulas,
+operation for operation.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ _ACTIVATIONS = ("relu", "linear")
 LOG_EPS = 1e-12
 
 # A ufunc that broadcasts an operand (the bias add, the soft assignment's
-# row and center terms) or casts one (the ReLU's bool mask) allocates an
+# center row) or casts one (the ReLU's bool mask) allocates an
 # iterator buffer of numpy's bufsize elements per such operand, 64 KB at
 # the default of 8192. Only the mask passes through it, and bool to float
 # is exact, so a smaller buffer changes no float and keeps those
@@ -195,8 +199,8 @@ class Autoencoder:
 
         # the output delta first holds the squared residual for the loss
         np.subtract(Xhat, X, out=ws.res)
-        recon = float(np.sum(np.square(ws.res, out=ws.delta[-1])))
-        np.multiply(ws.res, 2.0, out=ws.delta[-1])
+        recon = float(np.sum(np.square(ws.res, out=ws.delta)))
+        np.multiply(ws.res, 2.0, out=ws.delta)
 
         ce = 0.0
         center_grad = None
@@ -210,10 +214,11 @@ class Autoencoder:
             np.multiply(np.sum(yind, axis=1, keepdims=True, out=ws.col), s, out=g)
             np.subtract(yind, g, out=g)
             g *= a
-            # dZ term: lam * 2 (rowsum(g) Z - g C), added to the decoder's dZ
+            # dZ term: lam * 2 (rowsum(g) Z - g C), added to the decoder's dZ;
+            # g C goes through the soft assignment's spent scratch
             dz = np.multiply(np.sum(g, axis=1, keepdims=True, out=ws.col), Z,
                              out=ws.dz)
-            dz -= np.matmul(g, centers, out=ws.gc)
+            dz -= np.matmul(g, centers, out=ws.diff)
             dz *= 2.0
             dz *= lam
             # center gradient: lam * 2 (colsum(g) C - g^T Z)
@@ -222,20 +227,25 @@ class Autoencoder:
             center_grad -= np.matmul(g.T, Z, out=ws.gtz)
             center_grad *= lam * 2.0
 
+        # act > 0 exactly where pre > 0; the masks are taken before the
+        # backward pass overwrites the activations with deltas
+        for out, mask in zip(ws.out, ws.mask):
+            if mask is not None:
+                np.greater(out, 0.0, out=mask)
         grads = ws.grads
         for i in range(len(layers) - 1, -1, -1):
-            g = ws.delta[i]
+            g = ws.delta if i == len(layers) - 1 else ws.out[i]
             if use_ce and i == ne - 1:
                 g += ws.dz
             if ws.mask[i] is not None:
-                # act > 0 exactly where pre > 0; multiplying by the bool
-                # mask keeps the signed zeros of g
-                g *= np.greater(ws.out[i], 0.0, out=ws.mask[i])
+                # multiplying by the bool mask keeps the signed zeros of g
+                g *= ws.mask[i]
             x_in = X if i == 0 else ws.out[i - 1]
             np.matmul(x_in.T, g, out=grads[2 * i])
             np.sum(g, axis=0, out=grads[2 * i + 1])
             if i > 0:       # the input layer's delta is never used
-                np.matmul(g, layers[i].w.T, out=ws.delta[i - 1])
+                # layer i-1's activation is spent: it served as x_in above
+                np.matmul(g, layers[i].w.T, out=ws.out[i - 1])
         return recon, ce, grads, center_grad
 
 
@@ -244,9 +254,13 @@ class Workspace:
 
     For an autoencoder, a batch of n rows and k centers (k = 0 when the
     cross-entropy term is off) it holds, per layer, the activation (ReLU
-    applied in place over the pre-activation), the ReLU mask and the
-    backward delta; the reconstruction residual; the soft-assignment and
-    cross-entropy buffers; and the gradient arrays loss_and_grads returns.
+    applied in place over the pre-activation) and the ReLU mask; the
+    output layer's delta and the reconstruction residual; the
+    soft-assignment and cross-entropy buffers, with an (n, d) `diff`
+    scratch; and the gradient arrays loss_and_grads returns. The backward
+    pass writes each hidden layer's delta over that layer's activation
+    once the activation is spent, so the activations after a call hold
+    deltas, not the forward pass.
     """
 
     def __init__(self, ae: Autoencoder, n: int, k: int = 0):
@@ -256,7 +270,7 @@ class Workspace:
         self.out = [np.empty((n, layer.out_dim)) for layer in layers]
         self.mask = [np.empty((n, layer.out_dim), dtype=bool)
                      if layer.activation == "relu" else None for layer in layers]
-        self.delta = [np.empty((n, layer.out_dim)) for layer in layers]
+        self.delta = np.empty((n, ae.input_dim))
         self.res = np.empty((n, ae.input_dim))
         self.grads = []
         for layer in layers:
@@ -264,14 +278,13 @@ class Workspace:
             self.grads.append(np.empty_like(layer.b))
         if k:
             d = ae.embed_dim
-            self.diff = np.empty((n, k, d))
+            self.diff = np.empty((n, d))
             self.kernel = np.empty((n, k))
             self.s = np.empty((n, k))
             self.g = np.empty((n, k))
             self.col = np.empty((n, 1))
             self.ksum = np.empty(k)
             self.dz = np.empty((n, d))
-            self.gc = np.empty((n, d))
             self.center_grad = np.empty((k, d))
             self.gtz = np.empty((k, d))
 
@@ -300,7 +313,8 @@ def soft_assignment(Z: np.ndarray, centers: np.ndarray, out=None, kernel=None,
     With n rows, k centers and d dims, the optional arrays are filled
     instead of allocated: `out` (n, k) gets the result s, `kernel` (n, k)
     the unnormalized a = 1 / (1 + |z - c|^2) that the gradient needs, and
-    `diff` (n, k, d) and `rowsum` (n, 1) are scratch.
+    `diff` (n, d) and `rowsum` (n, 1) are scratch. The squared distances
+    are taken one center at a time through `diff`.
     """
     Z = np.asarray(Z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -310,9 +324,17 @@ def soft_assignment(Z: np.ndarray, centers: np.ndarray, out=None, kernel=None,
         raise DimensionError(
             f"embedding dim {Z.shape[1]} != center dim {centers.shape[1]}"
         )
-    diff = np.subtract(Z[:, None, :], centers[None, :, :], out=diff)
-    diff *= diff
-    a = np.sum(diff, axis=2, out=kernel)
+    if diff is None:
+        diff = np.empty_like(Z)
+    elif diff.shape != Z.shape:
+        raise DimensionError(
+            f"diff scratch is {diff.shape}, expected {Z.shape}"
+        )
+    a = np.empty((Z.shape[0], centers.shape[0])) if kernel is None else kernel
+    for j, center in enumerate(centers):
+        np.subtract(Z, center, out=diff)
+        diff *= diff
+        np.sum(diff, axis=1, out=a[:, j])
     a += 1.0
     np.divide(1.0, a, out=a)
     return np.divide(a, np.sum(a, axis=1, keepdims=True, out=rowsum), out=out)

@@ -6,17 +6,28 @@ concatenated original features. Each joint cycle then (a) retrains the
 autoencoders against the tree's one-hot outputs through the soft
 assignment and (b) refreshes pseudo-labels and re-optimizes the tree.
 The tree's leaf outputs are the model's final cluster assignment.
+
+The views' autoencoders share no state, so both pretraining and the
+feature phase train them concurrently on a thread pool and gather the
+results in view order; every view trains with its own parameters, Adam
+state and workspace, so the floats do not depend on the worker count.
+The pool holds as many threads as the usable CPUs divided by the BLAS
+thread count: on a multi-core machine with BLAS at one thread the views
+train in parallel, and when BLAS already uses every CPU, or its thread
+count cannot be read, one worker trains them in turn.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextvars
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dtree, metrics, nncore, tao
+from . import dtree, metrics, nncore, parallel, tao
 from .kmeans import kmeans as run_kmeans
 
 EMBED_DIMS = (128, 64)
@@ -139,6 +150,28 @@ def _embed_all(state: ModelState, views: list[np.ndarray]) -> list[np.ndarray]:
     return [ae.forward(view)[0] for ae, view in zip(state.autoencoders, views)]
 
 
+def _view_workers(n_views: int) -> int:
+    """Threads for the views: the usable CPUs over the BLAS thread count,
+    at most one per view; one when the BLAS thread count is unknown."""
+    blas = parallel.blas_threads()
+    if blas is None:
+        return 1
+    return max(1, min(n_views, parallel.usable_cpus() // blas))
+
+
+def _map_views(job, n_views: int) -> list:
+    """job(v) for every view v on the view pool, results in view order.
+
+    Each job runs in a copy of the caller's context, so that numpy's
+    error state (`np.errstate`) holds in the workers as in the caller. A
+    worker's exception is raised here, that of the lowest view first.
+    """
+    contexts = [contextvars.copy_context() for _ in range(n_views)]
+    with ThreadPoolExecutor(max_workers=_view_workers(n_views)) as pool:
+        return list(pool.map(lambda v: contexts[v].run(job, v),
+                             range(n_views)))
+
+
 def _train_view(ae: nncore.Autoencoder, X: np.ndarray, epochs: int, lr: float,
                 yind=None, centers=None, lam: float = 0.0) -> list[float]:
     X = np.asarray(X, dtype=np.float64)
@@ -200,10 +233,9 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
                                   view_index=v)
         for v, dim in enumerate(view_dims)
     ]
-    pretrain_losses = [
-        _train_view(ae, view, config.e1, config.lr)
-        for ae, view in zip(autoencoders, views)
-    ]
+    pretrain_losses = _map_views(
+        lambda v: _train_view(autoencoders[v], views[v], config.e1, config.lr),
+        len(views))
 
     Z = concat_embeddings([ae.forward(view)[0]
                            for ae, view in zip(autoencoders, views)])
@@ -234,13 +266,18 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
     yhard = state.tree.predict_batch(X)
     state.labels = LabelSet.from_hard(yhard, config.k)
     yind = state.labels.indicator
-    traces = []
-    for v, (ae, view) in enumerate(zip(state.autoencoders, views)):
+
+    def train(v):
+        ae, view = state.autoencoders[v], views[v]
         Z = ae.forward(view)[0]
         rng = np.random.default_rng([config.seed, 200, cycle, v])
         centers = init_centers(Z, yhard, config.k, rng)
         trace = _train_view(ae, view, config.e2, config.lr, yind=yind,
                             centers=centers, lam=config.lam)
+        return centers, trace
+
+    traces = []
+    for v, (centers, trace) in enumerate(_map_views(train, len(views))):
         state.centers[v] = centers
         traces.append(trace)
     state.loss_history["feature"].append(traces)

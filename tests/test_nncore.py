@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from imvc.nncore import (
     AdamState,
     Autoencoder,
     DenseLayer,
+    DimensionError,
+    Workspace,
     adam_step,
     combined_loss,
     cross_entropy_loss,
@@ -112,6 +116,12 @@ class TestSoftAssignment:
     def test_no_centers_rejected(self):
         with pytest.raises(ValueError):
             soft_assignment(np.zeros((2, 2)), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("shape", [(5, 2, 3), (4, 3), (5, 2)])
+    def test_diff_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            soft_assignment(np.zeros((5, 3)), np.ones((2, 3)),
+                            diff=np.empty(shape))
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (6, 3), elements=st.floats(-50, 50)),
@@ -285,3 +295,17 @@ def test_training_is_deterministic_for_fixed_seed():
         snapshots.append([p.copy() for p in ae.parameters()])
     for a, b in zip(*snapshots):
         np.testing.assert_array_equal(a, b)
+
+
+def test_workspace_at_fit_large_shape_holds_under_17_mib():
+    # 33.5 MiB while every layer kept its own delta and the soft
+    # assignment an (n, k, d) scratch
+    ae = Autoencoder.create(8, (128, 64), seed=0)
+    tracemalloc.start()
+    try:
+        ws = Workspace(ae, 4000, 4)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ws.n == 4000
+    assert held <= 17 * 2**20

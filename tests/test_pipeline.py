@@ -1,4 +1,8 @@
+import os
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,6 +100,144 @@ class TestInitialize:
         views[1][2, 1] = bad
         with pytest.raises(ValueError, match="view 1 .* non-finite .* row 2"):
             pipeline.initialize(views, PipelineConfig(k=2, e1=1))
+
+
+class TestViewPool:
+    """Views train on a thread pool; the worker count changes no float."""
+
+    @staticmethod
+    def three_views(n=60, seed=11):
+        # widths 3, 8 and 5, so a worker's view shows in its weight shapes
+        rng = np.random.default_rng(seed)
+        hard = rng.integers(3, size=n)
+        return [rng.standard_normal((3, d))[hard] * 2.0
+                + 0.5 * rng.standard_normal((n, d)) + 1.5
+                for d in (3, 8, 5)]
+
+    @staticmethod
+    def config(**changes):
+        base = dict(k=3, e1=6, e2=5, min_num=5, seed=3, outer_cycles=2)
+        return PipelineConfig(**{**base, **changes})
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_worker_count_changes_nothing(self, standardize, monkeypatch,
+                                          tmp_path):
+        views = self.three_views()
+        fits = {}
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(pipeline, "_view_workers",
+                                lambda n_views, w=workers: w)
+            state = pipeline.fit(views, self.config(standardize=standardize))
+            path = tmp_path / f"model{workers}.bin"
+            dataio.save_model(state, path)
+            fits[workers] = (state, path.read_bytes())
+        ref, ref_bytes = fits[1]
+        for state, blob in (fits[2], fits[5]):
+            assert blob == ref_bytes
+            assert state.loss_history == ref.loss_history
+            for got, want in zip(state.centers, ref.centers):
+                assert got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(state.kmeans_labels,
+                                          ref.kmeans_labels)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        views, config = self.three_views(), self.config(e1=4)
+        monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 1)
+        want = pipeline.initialize(views, config)
+        monkeypatch.setattr(pipeline, "_view_workers",
+                            lambda n_views: 2 * (os.cpu_count() or 1) + 3)
+        interval = sys.getswitchinterval()
+        outer = ThreadPoolExecutor(max_workers=1)
+        sys.setswitchinterval(1e-6)
+        try:
+            got = outer.submit(pipeline.initialize, views,
+                               config).result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            outer.shutdown(wait=False)
+        assert got.loss_history == want.loss_history
+        for ae, ref in zip(got.autoencoders, want.autoencoders):
+            for p, q in zip(ae.parameters(), ref.parameters()):
+                assert p.tobytes() == q.tobytes()
+
+    def test_views_train_concurrently(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 2)
+        both_running = threading.Barrier(2, timeout=60)
+
+        def job(v):
+            if v < 2:       # breaks unless views 0 and 1 run at once
+                both_running.wait()
+            return v
+
+        assert pipeline._map_views(job, 3) == [0, 1, 2]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("phase", ["initialize", "feature_phase"])
+    @pytest.mark.parametrize("error", [RuntimeWarning, FloatingPointError])
+    def test_error_in_a_view_worker_reaches_the_caller(self, workers, phase,
+                                                       error, monkeypatch):
+        views = self.three_views()
+        config = self.config()
+        state = pipeline.initialize(views, config)
+        real_adam_step = nncore.adam_step
+
+        def failing_adam_step(params, grads, adam):
+            width = params[0].shape[0]
+            if width in (8, 5):     # views 1 and 2; view 1's error wins
+                if error is RuntimeWarning:
+                    warnings.warn(f"width {width}", RuntimeWarning)
+                raise FloatingPointError(f"width {width}")
+            return real_adam_step(params, grads, adam)
+
+        monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: workers)
+        monkeypatch.setattr(nncore, "adam_step", failing_adam_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="width 8"):
+                if phase == "initialize":
+                    pipeline.initialize(views, config)
+                else:
+                    pipeline.feature_phase(state, views)
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy keeps its error state per context from 2.0")
+    def test_callers_error_state_holds_in_the_workers(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 3)
+        views = [1e300 * view for view in self.three_views()]
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                pipeline.initialize(views, self.config())
+
+    def test_workers_call_the_module_and_class_attributes(self, monkeypatch):
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)      # list.append is atomic under the GIL
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 3)
+        monkeypatch.setattr(pipeline, "_train_view",
+                            counting("train", pipeline._train_view))
+        monkeypatch.setattr(nncore, "adam_step",
+                            counting("adam", nncore.adam_step))
+        monkeypatch.setattr(nncore.Autoencoder, "loss_and_grads",
+                            counting("loss", nncore.Autoencoder.loss_and_grads))
+        monkeypatch.setattr(nncore.Autoencoder, "forward",
+                            counting("forward", nncore.Autoencoder.forward))
+        config = self.config(e1=4, e2=3)
+        state = pipeline.initialize(self.three_views(), config)
+        pipeline.feature_phase(state, self.three_views())
+        assert calls.count("train") == 6
+        assert calls.count("loss") == calls.count("adam") == 3 * (4 + 3)
+        assert calls.count("forward") == 3 + 3
+
+    def test_no_training_fixture_stops_pooled_training(self, no_training,
+                                                       monkeypatch):
+        monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 3)
+        with pytest.raises(AssertionError, match="training ran"):
+            pipeline.initialize(self.three_views(), self.config())
 
 
 class TestFeaturePhase:
