@@ -316,11 +316,13 @@ def _write_array(f, arr: np.ndarray) -> None:
     _write_blob(f, arr.tobytes())
 
 
-def _read_array(f) -> np.ndarray:
+def _read_array(f, copy: bool = True) -> np.ndarray:
+    """The next array; without `copy`, a read-only view of the file's bytes."""
     header = _read_json(f)
     raw = _read_blob(f)
-    return np.frombuffer(raw, dtype=np.dtype(header["dtype"])).reshape(
-        header["shape"]).copy()
+    array = np.frombuffer(raw, dtype=np.dtype(header["dtype"])).reshape(
+        header["shape"])
+    return array.copy() if copy else array
 
 
 def _layer_meta(ae: nncore.Autoencoder) -> dict:
@@ -383,12 +385,16 @@ def load_model(path) -> ModelState:
             ]
         autoencoders = []
         for ae_meta in meta["autoencoders"]:
+            # Autoencoder copies its layers into one parameter vector, so
+            # they are read without a copy of their own
             encoder = [
-                nncore.DenseLayer(_read_array(f), _read_array(f), act)
+                nncore.DenseLayer(_read_array(f, copy=False),
+                                  _read_array(f, copy=False), act)
                 for act in ae_meta["encoder"]
             ]
             decoder = [
-                nncore.DenseLayer(_read_array(f), _read_array(f), act)
+                nncore.DenseLayer(_read_array(f, copy=False),
+                                  _read_array(f, copy=False), act)
                 for act in ae_meta["decoder"]
             ]
             autoencoders.append(nncore.Autoencoder(

@@ -3,10 +3,12 @@
 Used on the concatenated embeddings to produce pseudo-labels. Fully
 deterministic for a fixed seed; restarts are ranked by (sse, restart).
 
-The restarts of one `kmeans` call run concurrently, on a thread pool
-sized to the usable CPUs. Each worker runs its block of restarts in
-order; their distances, SSE and seeding distances all go through one
-(n, d) scratch buffer per worker, which the calling thread allocates
+The restarts of one `kmeans` call run concurrently, as one-step jobs on
+`parallel.run`'s scheduler with a worker per usable CPU: a worker that
+finishes a short restart takes the next one from the queue, so unequal
+restarts still keep every worker busy. A restart's distances, SSE and
+seeding distances all go through one (n, d) scratch buffer that it
+borrows for its run; the calling thread allocates one buffer per worker
 before any work starts, so that worker threads do not grow malloc arenas
 of their own for them. Every restart draws from its own seeded stream and
 the results are ranked in restart order, so the result does not depend
@@ -15,7 +17,7 @@ on the number of workers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,16 +156,16 @@ def _worker_count(n_restarts: int) -> int:
     return max(1, min(parallel.usable_cpus(), n_restarts))
 
 
-def _run_restarts(Z: np.ndarray, k: int, seed, restarts: range, max_iter: int,
-                  tol: float, scratch: np.ndarray) -> list[KMeansResult]:
-    """The given restarts in order, all through one scratch buffer."""
-    results = []
-    for r in restarts:
+def _run_restart(Z: np.ndarray, k: int, seed, r: int, max_iter: int,
+                 tol: float, scratches: queue.SimpleQueue) -> KMeansResult:
+    """Restart r through a scratch buffer borrowed from `scratches`."""
+    scratch = scratches.get()
+    try:
         rng = np.random.default_rng([seed, r])
         centers = kmeanspp_init(Z, k, rng, scratch=scratch)
-        results.append(lloyd(Z, centers, max_iter=max_iter, tol=tol,
-                             scratch=scratch))
-    return results
+        return lloyd(Z, centers, max_iter=max_iter, tol=tol, scratch=scratch)
+    finally:
+        scratches.put(scratch)
 
 
 def kmeans(Z: np.ndarray, k: int, seed, n_restarts: int = 10,
@@ -175,16 +177,13 @@ def kmeans(Z: np.ndarray, k: int, seed, n_restarts: int = 10,
     if n_restarts < 1:
         raise ValueError("n_restarts must be at least 1")
     workers = _worker_count(n_restarts)
-    # worker w runs the w-th contiguous block of restarts; its buffer is
-    # allocated here, so that no worker thread allocates one in its own
-    # malloc arena
-    bounds = [w * n_restarts // workers for w in range(workers + 1)]
-    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    scratches = [np.empty_like(Z) for _ in shares]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_restarts, Z, k, seed, share, max_iter, tol,
-                               scratch)
-                   for share, scratch in zip(shares, scratches)]
-        results = [result for future in futures for result in future.result()]
+    # at most one restart per worker runs at a time, so a buffer per worker
+    # is always free
+    scratches = queue.SimpleQueue()
+    for _ in range(workers):
+        scratches.put(np.empty_like(Z))
+    results = parallel.run(
+        [parallel.once(_run_restart, Z, k, seed, r, max_iter, tol, scratches)
+         for r in range(n_restarts)], workers)
     # min keeps the first of equal sse values: ties go to the lower restart
     return min(results, key=lambda result: result.sse)

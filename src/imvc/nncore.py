@@ -5,11 +5,20 @@ autoencoder; the encoder output is the embedding used downstream.
 Losses: sum-of-squares reconstruction, cross-entropy against a one-hot
 target through a Student's-t soft assignment, and their weighted sum.
 
-A training run allocates its per-epoch arrays once: a Workspace, built
-for the batch's row count (and center count when the cross-entropy term
-is on), holds every activation, mask, soft-assignment buffer and
-gradient that loss_and_grads fills with `out=` operations, and AdamState
-holds the scratch that adam_step updates in place. The backward pass
+An autoencoder's weights and biases are views into one contiguous
+float64 vector, `flat_params`, and a Workspace's gradients are views into
+`flat_grads` laid out the same way, so one adam_step call updates every
+layer at once; Adam is elementwise, so the floats are those of one call
+per array.
+
+An epoch allocates nothing: a Workspace, built for the batch's row count
+(and center count when the cross-entropy term is on), holds every
+activation, mask, soft-assignment buffer and gradient that
+loss_and_grads fills with `out=` operations, and AdamState holds the
+scratch that adam_step updates in place. A Workspace carries nothing
+from one epoch to the next, so the views training at once borrow theirs
+from a WorkspacePool for one epoch at a time, and a pool holds no more
+workspaces of a shape than there are threads training. The backward pass
 writes each layer's delta over an activation it no longer needs, so only
 the output layer has a delta array of its own, and the soft assignment
 takes its distances one center at a time through an (n, d) `diff`
@@ -19,6 +28,8 @@ operation for operation.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +108,15 @@ class Autoencoder:
         self.encoder = encoder
         self.decoder = decoder
         self.view_index = view_index
+        self.flat_params = np.concatenate([p.ravel()
+                                           for p in self.parameters()])
+        for layer, (w, b) in zip(self.layers, _pairs(self.flat_params,
+                                                     self.layers)):
+            layer.w, layer.b = w, b
+
+    def __setstate__(self, state):
+        # a deep copy copies the vector and each layer's view of it apart
+        self.__init__(state["encoder"], state["decoder"], state["view_index"])
 
     @property
     def input_dim(self) -> int:
@@ -128,7 +148,10 @@ class Autoencoder:
         return [*self.encoder, *self.decoder]
 
     def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list in a fixed order (shared with gradients)."""
+        """Weights and biases layer by layer, views into `flat_params`.
+
+        The order is that of a Workspace's gradients.
+        """
         out = []
         for layer in self.layers:
             out.append(layer.w)
@@ -249,18 +272,30 @@ class Autoencoder:
         return recon, ce, grads, center_grad
 
 
+def _pairs(flat: np.ndarray, layers: list[DenseLayer]):
+    """(w, b) views of `flat` for each layer, in parameters() order."""
+    at = 0
+    for layer in layers:
+        n_in, n_out = layer.w.shape
+        w = flat[at:at + n_in * n_out].reshape(n_in, n_out)
+        at += n_in * n_out
+        yield w, flat[at:at + n_out]
+        at += n_out
+
+
 class Workspace:
-    """Every array one loss_and_grads call writes, built once per run.
+    """Every array one loss_and_grads call writes, reused call after call.
 
     For an autoencoder, a batch of n rows and k centers (k = 0 when the
     cross-entropy term is off) it holds, per layer, the activation (ReLU
     applied in place over the pre-activation) and the ReLU mask; the
     output layer's delta and the reconstruction residual; the
     soft-assignment and cross-entropy buffers, with an (n, d) `diff`
-    scratch; and the gradient arrays loss_and_grads returns. The backward
-    pass writes each hidden layer's delta over that layer's activation
-    once the activation is spent, so the activations after a call hold
-    deltas, not the forward pass.
+    scratch; and the gradient arrays loss_and_grads returns, views into
+    one vector `flat_grads` laid out as the autoencoder's `flat_params`.
+    The backward pass writes each hidden layer's delta over that layer's
+    activation once the activation is spent, so the activations after a
+    call hold deltas, not the forward pass.
     """
 
     def __init__(self, ae: Autoencoder, n: int, k: int = 0):
@@ -272,10 +307,9 @@ class Workspace:
                      if layer.activation == "relu" else None for layer in layers]
         self.delta = np.empty((n, ae.input_dim))
         self.res = np.empty((n, ae.input_dim))
-        self.grads = []
-        for layer in layers:
-            self.grads.append(np.empty_like(layer.w))
-            self.grads.append(np.empty_like(layer.b))
+        self.flat_grads = np.empty_like(ae.flat_params)
+        self.grads = [g for pair in _pairs(self.flat_grads, layers)
+                      for g in pair]
         if k:
             d = ae.embed_dim
             self.diff = np.empty((n, d))
@@ -295,6 +329,34 @@ class Workspace:
                 f"workspace built for n={self.n}, k={self.k}, layers "
                 f"{self.shapes}; called with n={n}, k={k}, layers {shapes}"
             )
+
+
+class WorkspacePool:
+    """Workspaces lent for one loss_and_grads call at a time.
+
+    A workspace is built when none of its shape (layer shapes and
+    activations, rows, centers) is free, so a pool never holds more of one
+    shape than the most borrowers it had at once.
+    """
+
+    def __init__(self):
+        self._free: dict[tuple, list[Workspace]] = {}
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def lend(self, ae: Autoencoder, n: int, k: int = 0):
+        key = (tuple((layer.w.shape, layer.activation) for layer in ae.layers),
+               n, k)
+        with self._lock:
+            free = self._free.setdefault(key, [])
+            ws = free.pop() if free else None
+        if ws is None:
+            ws = Workspace(ae, n, k)
+        try:
+            yield ws
+        finally:
+            with self._lock:
+                free.append(ws)
 
 
 def reconstruction_loss(Xhat: np.ndarray, X: np.ndarray) -> float:

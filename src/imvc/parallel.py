@@ -1,17 +1,29 @@
-"""How many threads the fit can use: usable CPUs and BLAS threads.
+"""One thread scheduler for the fit, and how many threads it may use.
 
-The k-means restarts and the per-view autoencoders run on thread pools.
+`run` steps jobs written as generators on W worker threads, round-robin
+from one FIFO queue: a worker takes the job at the head, advances it to
+its next `yield`, and puts it back at the tail. A job is never stepped on
+two threads at once, and each job runs in its own copy of the caller's
+`contextvars` context, so numpy's error state (`np.errstate`) holds in
+the workers as in the caller. The views' autoencoders yield once per
+epoch, so three views keep two CPUs busy to the end; a k-means restart is
+a job of one step (`once`), so the restarts balance across the workers
+however unequal they are.
+
 A k-means worker computes in numpy's own loops, so one worker per usable
 CPU fills the machine. An autoencoder worker spends its time in matmul,
 which numpy hands to OpenBLAS, and OpenBLAS may itself run each call on
-several threads; the view pool therefore divides the CPUs by the BLAS
+several threads; the views therefore get the CPUs divided by the BLAS
 thread count, which only OpenBLAS can report.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
+import threading
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +73,62 @@ def blas_threads() -> int | None:
                 threads = getter()
                 return threads if threads >= 1 else None
     return None
+
+
+def once(fn, *args):
+    """A job of one step whose result is fn(*args)."""
+    return fn(*args)
+    yield       # never reached: it makes this function a generator
+
+
+def run(jobs, workers: int) -> list:
+    """Step every job to its end on `workers` threads; results in job order.
+
+    A job is a generator; its result is the value it returns. Once every
+    job has finished, the exception of the lowest job that raised one is
+    raised here.
+    """
+    jobs = list(jobs)
+    contexts = [contextvars.copy_context() for _ in jobs]
+    results: list = [None] * len(jobs)
+    errors: list = [None] * len(jobs)
+    ready = deque(range(len(jobs)))
+    live = len(jobs)
+    turn = threading.Condition()
+
+    def work():
+        nonlocal live
+        while True:
+            with turn:
+                while not ready and live:
+                    turn.wait()
+                if not ready:           # every job has finished
+                    return
+                i = ready.popleft()
+            finished = True
+            try:
+                contexts[i].run(next, jobs[i])
+                finished = False
+            except StopIteration as stop:
+                results[i] = stop.value
+            except BaseException as exc:    # raised by run() after the join
+                errors[i] = exc
+            with turn:
+                if finished:
+                    live -= 1
+                    if not live:
+                        turn.notify_all()
+                else:
+                    ready.append(i)
+                    turn.notify()
+
+    threads = [threading.Thread(target=work, name=f"imvc-worker-{w}")
+               for w in range(max(1, min(workers, len(jobs))))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results

@@ -8,21 +8,24 @@ assignment and (b) refreshes pseudo-labels and re-optimizes the tree.
 The tree's leaf outputs are the model's final cluster assignment.
 
 The views' autoencoders share no state, so both pretraining and the
-feature phase train them concurrently on a thread pool and gather the
-results in view order; every view trains with its own parameters, Adam
-state and workspace, so the floats do not depend on the worker count.
-The pool holds as many threads as the usable CPUs divided by the BLAS
-thread count: on a multi-core machine with BLAS at one thread the views
-train in parallel, and when BLAS already uses every CPU, or its thread
-count cannot be read, one worker trains them in turn.
+feature phase train them as jobs on `parallel.run`'s scheduler, one step
+per epoch: the workers take the views' epochs in turn, so three views on
+two threads keep both busy to the end, and results are gathered in view
+order. Every view keeps its own parameters and Adam state and borrows a
+workspace from the phase's WorkspacePool for each epoch, so no more
+workspaces exist than threads and the floats do not depend on the worker
+count. The feature phase seeds every view's centers before any view
+trains. There are as many threads as the usable CPUs divided by the BLAS
+thread count: with BLAS at one thread the views train in parallel, and
+when BLAS already uses every CPU, or its thread count cannot be read,
+one worker steps the views in turn.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextvars
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +123,14 @@ class ModelState:
 
 def _check_finite(view: np.ndarray, v: int) -> None:
     """Reject NaN and +-inf in view v, naming the first bad row."""
+    # A finite sum means every entry is finite, and it takes no (n, d)
+    # temporary; only an infinite or NaN sum, which finite entries can also
+    # give by overflow, needs the scan. A single row (`explain`) goes
+    # straight to the scan, which costs less than entering np.errstate.
+    if view.shape[0] > 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isfinite(view.sum()):
+                return
     finite = np.isfinite(view)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))
@@ -160,38 +171,48 @@ def _view_workers(n_views: int) -> int:
 
 
 def _map_views(job, n_views: int) -> list:
-    """job(v) for every view v on the view pool, results in view order.
+    """Run the generator job(v) of every view v on the scheduler.
 
-    Each job runs in a copy of the caller's context, so that numpy's
-    error state (`np.errstate`) holds in the workers as in the caller. A
-    worker's exception is raised here, that of the lowest view first.
+    Results come in view order; the lowest view's exception is raised.
     """
-    contexts = [contextvars.copy_context() for _ in range(n_views)]
-    with ThreadPoolExecutor(max_workers=_view_workers(n_views)) as pool:
-        return list(pool.map(lambda v: contexts[v].run(job, v),
-                             range(n_views)))
+    return parallel.run([job(v) for v in range(n_views)],
+                        _view_workers(n_views))
+
+
+def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
+                  lr: float, workspaces: nncore.WorkspacePool, yind=None,
+                  centers=None, lam: float = 0.0):
+    """Train one view, yielding after each epoch; returns the loss history.
+
+    Each epoch borrows a workspace from `workspaces` and gives it back
+    before the yield.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    params = [ae.flat_params]
+    train_centers = centers is not None and lam > 0.0
+    if train_centers:
+        params.append(centers)
+    adam = nncore.AdamState.create(params, lr=lr)
+    k = centers.shape[0] if train_centers and yind is not None else 0
+    history = []
+    for _ in range(epochs):
+        with workspaces.lend(ae, X.shape[0], k) as ws:
+            recon, ce, _, cgrad = ae.loss_and_grads(X, yind=yind,
+                                                    centers=centers, lam=lam,
+                                                    ws=ws)
+            grads = [ws.flat_grads, cgrad] if train_centers else [ws.flat_grads]
+            nncore.adam_step(params, grads, adam)
+        history.append(nncore.combined_loss(recon, ce, lam))
+        yield
+    return history
 
 
 def _train_view(ae: nncore.Autoencoder, X: np.ndarray, epochs: int, lr: float,
                 yind=None, centers=None, lam: float = 0.0) -> list[float]:
-    X = np.asarray(X, dtype=np.float64)
-    params = ae.parameters()
-    train_centers = centers is not None and lam > 0.0
-    if train_centers:
-        params = params + [centers]
-    adam = nncore.AdamState.create(params, lr=lr)
-    k = centers.shape[0] if train_centers and yind is not None else 0
-    ws = nncore.Workspace(ae, X.shape[0], k)
-    history = []
-    for _ in range(epochs):
-        recon, ce, grads, cgrad = ae.loss_and_grads(X, yind=yind,
-                                                    centers=centers, lam=lam,
-                                                    ws=ws)
-        history.append(nncore.combined_loss(recon, ce, lam))
-        if train_centers:
-            grads = grads + [cgrad]
-        nncore.adam_step(params, grads, adam)
-    return history
+    """Train one view on its own; returns the loss history."""
+    return parallel.run([_train_epochs(ae, X, epochs, lr,
+                                       nncore.WorkspacePool(), yind=yind,
+                                       centers=centers, lam=lam)], 1)[0]
 
 
 def init_centers(Z: np.ndarray, hard: np.ndarray, k: int,
@@ -233,9 +254,12 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
                                   view_index=v)
         for v, dim in enumerate(view_dims)
     ]
+    workspaces = nncore.WorkspacePool()
     pretrain_losses = _map_views(
-        lambda v: _train_view(autoencoders[v], views[v], config.e1, config.lr),
+        lambda v: _train_epochs(autoencoders[v], views[v], config.e1,
+                                config.lr, workspaces),
         len(views))
+    del workspaces      # freed before k-means allocates its buffers
 
     Z = concat_embeddings([ae.forward(view)[0]
                            for ae, view in zip(autoencoders, views)])
@@ -267,19 +291,20 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
     state.labels = LabelSet.from_hard(yhard, config.k)
     yind = state.labels.indicator
 
-    def train(v):
-        ae, view = state.autoencoders[v], views[v]
-        Z = ae.forward(view)[0]
+    def seed(v):
+        Z = state.autoencoders[v].forward(views[v])[0]
         rng = np.random.default_rng([config.seed, 200, cycle, v])
-        centers = init_centers(Z, yhard, config.k, rng)
-        trace = _train_view(ae, view, config.e2, config.lr, yind=yind,
-                            centers=centers, lam=config.lam)
-        return centers, trace
+        return init_centers(Z, yhard, config.k, rng)
 
-    traces = []
-    for v, (centers, trace) in enumerate(_map_views(train, len(views))):
-        state.centers[v] = centers
-        traces.append(trace)
+    # every view is seeded before any trains, so that forward's fresh
+    # activations are never allocated beside the lent workspaces
+    state.centers = _map_views(lambda v: parallel.once(seed, v), len(views))
+    workspaces = nncore.WorkspacePool()
+    traces = _map_views(
+        lambda v: _train_epochs(state.autoencoders[v], views[v], config.e2,
+                                config.lr, workspaces, yind=yind,
+                                centers=state.centers[v], lam=config.lam),
+        len(views))
     state.loss_history["feature"].append(traces)
 
 

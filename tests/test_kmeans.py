@@ -329,6 +329,14 @@ class TestConcurrentRestartsOracle:
             with pytest.raises(RuntimeWarning, match="from a worker"):
                 kmeans(np.zeros((4, 2)), 2, seed=0)
 
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy keeps its error state per context from 2.0")
+    def test_callers_error_state_holds_in_the_workers(self):
+        Z = 1e200 * np.random.default_rng(0).standard_normal((20, 3))
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                kmeans_with_workers(2, Z, 2, seed=0)
+
     def test_worker_count_is_capped_by_restarts(self):
         assert kmeans_mod._worker_count(1) == 1
         assert 1 <= kmeans_mod._worker_count(10) <= 10

@@ -1,14 +1,16 @@
-"""CPU and BLAS thread counts, and the view pool's size drawn from them.
+"""The scheduler, CPU and BLAS thread counts, and the view workers' count.
 
 OpenBLAS reads OPENBLAS_NUM_THREADS once, when it loads, so each count is
 probed in a fresh interpreter. Every probe runs OpenBLAS at one or two
 threads.
 """
 
+import contextvars
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -84,3 +86,113 @@ def test_kmeans_and_view_pools_share_the_cpu_count(monkeypatch):
     monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
     assert kmeans_mod._worker_count(10) == 3
     assert pipeline._view_workers(5) == 3
+
+
+def stepper(log, i, steps):
+    """A job that logs (job, step, thread name) at each of its steps."""
+    for step in range(steps):
+        log.append((i, step, threading.current_thread().name))
+        yield
+    return i
+
+
+def run_bounded(jobs, workers, timeout=120):
+    """parallel.run, called in the caller's context from a thread that must
+    finish within `timeout` seconds."""
+    out = {}
+
+    def target():
+        try:
+            out["results"] = parallel.run(jobs, workers)
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=contextvars.copy_context().run,
+                              args=(target,))
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["results"]
+
+
+class TestScheduler:
+    def test_results_come_back_in_job_order(self):
+        log = []
+        jobs = [stepper(log, i, 7 - i) for i in range(7)]
+        assert run_bounded(jobs, 3) == list(range(7))
+        assert len(log) == sum(range(1, 8))
+        assert {name for _, _, name in log} <= {f"imvc-worker-{w}"
+                                                for w in range(3)}
+
+    def test_lowest_exception_raised_after_every_job_ends(self):
+        finished = []
+
+        def fails(i, steps):
+            for _ in range(steps):
+                yield
+            raise ValueError(f"job {i}")
+
+        def runs_on(i, steps):
+            for _ in range(steps):
+                yield
+            finished.append(i)
+
+        jobs = [runs_on(0, 30), fails(1, 2), fails(2, 0), runs_on(3, 50)]
+        with pytest.raises(ValueError, match="job 1"):
+            run_bounded(jobs, 2)
+        assert sorted(finished) == [0, 3]
+
+    def test_no_job_on_two_threads_under_fast_switching(self):
+        workers = 2 * (os.cpu_count() or 1) + 3
+        lock = threading.Lock()
+        running, peak, overlaps = set(), [0], []
+
+        def job(i):
+            for _ in range(20):
+                with lock:
+                    if i in running:
+                        overlaps.append(i)
+                    running.add(i)
+                    peak[0] = max(peak[0], len(running))
+                np.sum(np.arange(200.0))
+                with lock:
+                    running.discard(i)
+                yield
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_bounded([job(i) for i in range(3 * workers)],
+                                  workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(3 * workers))
+        assert overlaps == []
+        assert 1 <= peak[0] <= workers
+
+    def test_one_worker_steps_every_job_in_turn_on_one_thread(self):
+        log = []
+        assert run_bounded([stepper(log, i, 3) for i in range(3)], 1) == [0, 1, 2]
+        assert [(i, step) for i, step, _ in log] == [
+            (i, step) for step in range(3) for i in range(3)]
+        assert {name for _, _, name in log} == {"imvc-worker-0"}
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy keeps its error state per context from 2.0")
+    def test_callers_error_state_holds_inside_steps(self):
+        def job():
+            assert np.geterr()["over"] == "raise"
+            yield
+            assert np.geterr()["over"] == "raise"
+            return np.float64(1e300) * np.float64(1e300)
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                run_bounded([job() for _ in range(3)], 2)
+
+    def test_once_is_a_job_of_one_step(self):
+        assert run_bounded([parallel.once(divmod, 7, i) for i in (1, 2, 3)],
+                           2) == [(7, 0), (3, 1), (2, 1)]

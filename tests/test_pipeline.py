@@ -1,6 +1,8 @@
+import copy
 import os
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,7 +29,7 @@ def small_dataset():
 def no_training(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("training ran before input validation")
-    monkeypatch.setattr(pipeline, "_train_view", fail)
+    monkeypatch.setattr(pipeline, "_train_epochs", fail)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +105,7 @@ class TestInitialize:
 
 
 class TestViewPool:
-    """Views train on a thread pool; the worker count changes no float."""
+    """Views train on the scheduler; the worker count changes no float."""
 
     @staticmethod
     def three_views(n=60, seed=11):
@@ -167,9 +169,47 @@ class TestViewPool:
         def job(v):
             if v < 2:       # breaks unless views 0 and 1 run at once
                 both_running.wait()
+            yield
             return v
 
         assert pipeline._map_views(job, 3) == [0, 1, 2]
+
+    def test_third_view_starts_before_the_first_ends(self, monkeypatch):
+        # view 1's epochs are slow, so a pool that ran each view to its end
+        # would start view 2 only once view 0 had finished
+        order = []
+        real = nncore.Autoencoder.loss_and_grads
+
+        def recording(ae, *args, **kwargs):
+            order.append(ae.view_index)
+            if ae.view_index == 1:
+                time.sleep(0.005)
+            return real(ae, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 2)
+        monkeypatch.setattr(nncore.Autoencoder, "loss_and_grads", recording)
+        pipeline.initialize(self.three_views(), self.config(e1=6))
+        last_of_view_0 = len(order) - 1 - order[::-1].index(0)
+        assert order.index(2) < last_of_view_0
+
+    def test_workspaces_built_at_most_once_per_worker(self, monkeypatch):
+        built = []
+
+        class CountingWorkspace(nncore.Workspace):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1:])
+                super().__init__(*args, **kwargs)
+
+        rng = np.random.default_rng(4)
+        views = [rng.standard_normal((40, 4)) for _ in range(3)]
+        monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 2)
+        monkeypatch.setattr(nncore, "Workspace", CountingWorkspace)
+        state = pipeline.initialize(views, self.config(e1=8))
+        assert 1 <= len(built) <= 2
+        built.clear()
+        pipeline.feature_phase(state, views)
+        assert 1 <= len(built) <= 2
+        assert all(shape == (40, 3) for shape in built)
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("phase", ["initialize", "feature_phase"])
@@ -180,9 +220,12 @@ class TestViewPool:
         config = self.config()
         state = pipeline.initialize(views, config)
         real_adam_step = nncore.adam_step
+        # a view's parameters are one vector, whose length gives its width
+        widths = {nncore.Autoencoder.create(view.shape[1], pipeline.EMBED_DIMS)
+                  .flat_params.size: view.shape[1] for view in views}
 
         def failing_adam_step(params, grads, adam):
-            width = params[0].shape[0]
+            width = widths[params[0].size]
             if width in (8, 5):     # views 1 and 2; view 1's error wins
                 if error is RuntimeWarning:
                     warnings.warn(f"width {width}", RuntimeWarning)
@@ -218,8 +261,8 @@ class TestViewPool:
             return wrapper
 
         monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 3)
-        monkeypatch.setattr(pipeline, "_train_view",
-                            counting("train", pipeline._train_view))
+        monkeypatch.setattr(pipeline, "_train_epochs",
+                            counting("train", pipeline._train_epochs))
         monkeypatch.setattr(nncore, "adam_step",
                             counting("adam", nncore.adam_step))
         monkeypatch.setattr(nncore.Autoencoder, "loss_and_grads",
@@ -238,6 +281,34 @@ class TestViewPool:
         monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 3)
         with pytest.raises(AssertionError, match="training ran"):
             pipeline.initialize(self.three_views(), self.config())
+
+
+class TestFlatParameters:
+    @staticmethod
+    def assert_views_of_one_vector(ae):
+        params = ae.parameters()
+        assert sum(p.size for p in params) == ae.flat_params.size
+        assert all(np.shares_memory(p, ae.flat_params) for p in params)
+        ae.flat_params[:] = 0.5
+        assert all(np.all(p == 0.5) for p in params)
+
+    def test_after_create(self):
+        self.assert_views_of_one_vector(
+            nncore.Autoencoder.create(5, pipeline.EMBED_DIMS, seed=1))
+
+    def test_after_a_model_round_trip(self, fitted, tmp_path):
+        dataio.save_model(fitted, tmp_path / "m.bin")
+        loaded = dataio.load_model(tmp_path / "m.bin")
+        for ae, ref in zip(loaded.autoencoders, fitted.autoencoders):
+            assert ae.flat_params.tobytes() == ref.flat_params.tobytes()
+            self.assert_views_of_one_vector(ae)
+
+    def test_after_a_deep_copy(self):
+        ae = nncore.Autoencoder.create(3, (4, 2), seed=2)
+        twin = copy.deepcopy(ae)
+        assert twin.flat_params.tobytes() == ae.flat_params.tobytes()
+        self.assert_views_of_one_vector(twin)
+        assert not np.shares_memory(twin.flat_params, ae.flat_params)
 
 
 class TestFeaturePhase:
@@ -434,6 +505,25 @@ def test_predict_rejects_non_finite_query(fitted, small_dataset, bad):
     query[0][3] = bad
     with pytest.raises(ValueError, match="view 0 has a non-finite value in row 3"):
         fitted.predict(query)
+
+
+def test_finite_rows_whose_sum_overflows_are_accepted():
+    for view in (np.array([[1e308], [1e308]]),
+                 np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 0.0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                pipeline._check_finite(view, 0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 6])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_is_named_by_view_and_row(rows, bad):
+    view = np.full((rows, 3), 1e308)
+    view[rows - 1, 2] = bad
+    with pytest.raises(ValueError,
+                       match=f"view 2 has a non-finite value in row {rows - 1}"):
+        pipeline._check_finite(view, 2)
 
 
 def test_fit_reproducible_bytes(tmp_path, small_dataset):
