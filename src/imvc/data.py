@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nncore
-from .dtree import INTERNAL, DecisionTree, TreeNode
-from .pipeline import LabelSet, ModelState, PipelineConfig, feature_attribution
+from .dtree import INTERNAL, DecisionTree, TreeNode, feature_attribution
+from .pipeline import LabelSet, ModelState, PipelineConfig
 
 MODEL_MAGIC = b"IMVC"
 MODEL_VERSION = 1
@@ -239,6 +239,8 @@ def tree_to_doc(tree: DecisionTree, view_offsets: list[int]) -> dict:
 
 
 def doc_to_tree(doc: dict) -> DecisionTree:
+    """The tree a document describes. A split on a feature outside
+    [0, feature_dim), or a missing root or child, is rejected."""
     if doc.get("schema_version") != TREE_SCHEMA_VERSION:
         raise ValueError(f"unsupported tree schema: {doc.get('schema_version')}")
     nodes = {}
@@ -249,8 +251,22 @@ def doc_to_tree(doc: dict) -> DecisionTree:
             label=rec["label"], left=rec["left"], right=rec["right"],
             count=rec.get("count"),
         )
+    feature_dim = doc["feature_dim"]
+    if doc["root"] not in nodes:
+        raise ValueError(f"tree root {doc['root']} is not a node")
+    for node in nodes.values():
+        if node.kind != INTERNAL or (
+                type(node.split_feature) is int
+                and 0 <= node.split_feature < feature_dim
+                and node.left in nodes and node.right in nodes):
+            continue
+        for child in (node.left, node.right):
+            if child not in nodes:
+                raise ValueError(f"tree node {node.id} has a missing child {child}")
+        raise ValueError(f"tree node {node.id} splits on feature "
+                         f"{node.split_feature}, outside [0, {feature_dim})")
     return DecisionTree(nodes=nodes, root=doc["root"], k=doc["k"],
-                        feature_dim=doc["feature_dim"])
+                        feature_dim=feature_dim)
 
 
 def export_tree(tree: DecisionTree, view_offsets: list[int],
@@ -403,6 +419,9 @@ def load_model(path) -> ModelState:
         hard = _read_array(f)
         kmeans_labels = _read_array(f)
     tree = doc_to_tree(meta["tree"])
+    if tree.feature_dim != sum(view_dims):
+        raise ValueError(f"tree has {tree.feature_dim} features, the views "
+                         f"{sum(view_dims)}")
     return ModelState(
         config=cfg,
         autoencoders=autoencoders,

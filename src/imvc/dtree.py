@@ -1,6 +1,13 @@
 """CART construction with the Gini criterion over concatenated features,
 and the tree's routing of instances.
 
+The tree's features are the views' columns side by side: global feature
+f is column c of view v, with (v, c) = `feature_attribution(f, offsets)`
+for the views' column offsets. `route` takes the views as they are and
+reads each split's column in place, so no caller concatenates views to
+route a batch; a single matrix is the one-view case. `path` walks one
+row of all `feature_dim` values.
+
 Split search is exhaustive: every feature, every midpoint between
 consecutive distinct sorted values. Each feature is scored for all its
 thresholds at once from cumulative class counts over one sort. A float
@@ -12,7 +19,9 @@ reproducible across platforms.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import bisect
+import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +77,22 @@ class DecisionTree:
                 return
             node_id = node.left if x[node.split_feature] <= node.split_value else node.right
 
-    def route(self, X: np.ndarray,
+    def route(self, views,
               start: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-        """(node_id, rows) for every node at least one row of X reaches.
+        """(node_id, rows) for every node at least one row reaches.
 
-        `rows` are ascending indices into X; empty branches are skipped.
+        `views` is one (n, feature_dim) matrix, or a sequence of 2-D views
+        of n rows each whose widths sum to `feature_dim`. A call maps each
+        split's global feature to its column of the views once, with
+        `feature_attribution`, the first time a split on it is reached; a
+        split then gathers its column's values at the rows reaching it, so
+        the views are read in place and never concatenated. `rows` are
+        ascending row indices; empty branches are skipped.
         """
-        stack = [(self.root if start is None else start, np.arange(X.shape[0]))]
+        views = [views] if isinstance(views, np.ndarray) else views
+        n, offsets = self._layout(views)
+        columns: dict[int, np.ndarray] = {}
+        stack = [(self.root if start is None else start, np.arange(n))]
         while stack:
             node_id, rows = stack.pop()
             if len(rows) == 0:
@@ -82,9 +100,30 @@ class DecisionTree:
             yield node_id, rows
             node = self.nodes[node_id]
             if node.kind == INTERNAL:
-                go_left = X[rows, node.split_feature] <= node.split_value
-                stack.append((node.left, rows[go_left]))
-                stack.append((node.right, rows[~go_left]))
+                column = columns.get(node.split_feature)
+                if column is None:
+                    v, c = feature_attribution(node.split_feature, offsets)
+                    column = columns[node.split_feature] = views[v][:, c]
+                go_left = column[rows] <= node.split_value
+                # several times faster than a boolean index on masks that
+                # switch often
+                stack.append((node.left, rows.compress(go_left)))
+                stack.append((node.right, rows.compress(~go_left)))
+
+    def _layout(self, views: Sequence[np.ndarray]) -> tuple[int, list[int]]:
+        """The views' common row count and column offsets."""
+        n = views[0].shape[0]
+        for v, view in enumerate(views):
+            if view.ndim != 2 or view.shape[0] != n:
+                raise ValueError(
+                    f"view {v} has shape {view.shape}, expected 2-D with {n} rows"
+                )
+        widths = [view.shape[1] for view in views]
+        if sum(widths) != self.feature_dim:
+            raise ValueError(
+                f"views have {sum(widths)} features, expected {self.feature_dim}"
+            )
+        return n, list(itertools.accumulate(widths[:-1], initial=0))
 
     def predict(self, x: np.ndarray, start: int | None = None) -> int:
         """Leaf label of one row, descending from `start` (default: the root)."""
@@ -103,12 +142,24 @@ class DecisionTree:
             raise ValueError(
                 f"expected (n, {self.feature_dim}) matrix, got {X.shape}"
             )
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for node_id, rows in self.route(X, start):
+        return self.predict_views([X], start)
+
+    def predict_views(self, views: Sequence[np.ndarray],
+                      start: int | None = None) -> np.ndarray:
+        """Leaf labels of the rows of the views, read in place as `route`
+        reads them, descending from `start`."""
+        out = np.empty(views[0].shape[0], dtype=np.int64)
+        for node_id, rows in self.route(views, start):
             node = self.nodes[node_id]
             if node.kind == LEAF:
                 out[rows] = node.label
         return out
+
+
+def feature_attribution(feature: int, view_offsets: list[int]) -> tuple[int, int]:
+    """Map a global feature index to (0-based view, index within view)."""
+    view = bisect.bisect_right(view_offsets, feature) - 1
+    return view, int(feature - view_offsets[view])
 
 
 def gini(labels) -> float:

@@ -23,7 +23,6 @@ one worker steps the views in turn.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dtree, metrics, nncore, parallel, tao
+from .dtree import feature_attribution
 from .kmeans import kmeans as run_kmeans
 
 EMBED_DIMS = (128, 64)
@@ -98,12 +98,26 @@ class ModelState:
         return list(itertools.accumulate(self.view_dims[:-1], initial=0))
 
     def preprocess(self, views: list[np.ndarray]) -> list[np.ndarray]:
+        """The views as float64, checked and standardized as in training.
+
+        Every view must be 2-D, finite, as wide as in training and as long
+        as view 0.
+        """
         views = [np.asarray(v, dtype=np.float64) for v in views]
         if len(views) != len(self.view_dims):
             raise ValueError(
                 f"expected {len(self.view_dims)} views, got {len(views)}"
             )
         for v, (view, dim) in enumerate(zip(views, self.view_dims)):
+            if view.ndim != 2:
+                raise ValueError(
+                    f"view {v} has shape {view.shape}, expected (rows, {dim})"
+                )
+            if view.shape[0] != views[0].shape[0]:
+                raise ValueError(
+                    f"view {v} has {view.shape[0]} rows, "
+                    f"expected {views[0].shape[0]}"
+                )
             if view.shape[1] != dim:
                 raise ValueError(
                     f"view {v} has {view.shape[1]} features, expected {dim}"
@@ -117,8 +131,8 @@ class ModelState:
         ]
 
     def predict(self, views: list[np.ndarray]) -> np.ndarray:
-        X = np.hstack(self.preprocess(views))
-        return self.tree.predict_batch(X)
+        """Cluster of every row: the tree routes the views in place."""
+        return self.tree.predict_views(self.preprocess(views))
 
 
 def _check_finite(view: np.ndarray, v: int) -> None:
@@ -286,8 +300,7 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
                   cycle: int = 0) -> None:
     """Retrain each view against the tree's one-hot outputs (Lr + lam*Lce)."""
     config = state.config
-    X = np.hstack(views)
-    yhard = state.tree.predict_batch(X)
+    yhard = state.tree.predict_views(views)
     state.labels = LabelSet.from_hard(yhard, config.k)
     yind = state.labels.indicator
 
@@ -368,20 +381,18 @@ class ExplanationStep:
     went_left: bool
 
 
-def feature_attribution(feature: int, view_offsets: list[int]) -> tuple[int, int]:
-    """Map a global feature index to (0-based view, index within view)."""
-    view = bisect.bisect_right(view_offsets, feature) - 1
-    return view, int(feature - view_offsets[view])
-
-
 def explain(state: ModelState, x_views: list[np.ndarray]) -> tuple[list[ExplanationStep], int]:
-    """Root-to-leaf decision path for one instance, with view attribution."""
-    x = np.hstack([np.asarray(v, dtype=np.float64).ravel() for v in
-                   state.preprocess([np.atleast_2d(v) for v in x_views])])
-    if x.shape[0] != state.tree.feature_dim:
-        raise ValueError(
-            f"expected {state.tree.feature_dim} features, got {x.shape[0]}"
-        )
+    """Root-to-leaf decision path for one instance, with view attribution.
+
+    `x_views` holds one row per view, as a 1-D array or a (1, d) view.
+    """
+    x_views = [np.atleast_2d(v) for v in x_views]
+    for v, view in enumerate(x_views):
+        if view.shape[0] != 1:
+            raise ValueError(
+                f"view {v} has {view.shape[0]} rows; explain takes one instance"
+            )
+    x = np.concatenate(state.preprocess(x_views), axis=1)[0]
     offsets = state.view_offsets
     ids = list(state.tree.path(x))
     steps = []

@@ -1,11 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from imvc import data as dataio
 from imvc import pipeline
-from imvc.dtree import build_tree
+from imvc.dtree import INTERNAL, build_tree
 from imvc.pipeline import PipelineConfig
 
 
@@ -225,3 +226,51 @@ class TestModelSerialization:
             cut_path.write_bytes(blob[:size])
             with pytest.raises(ValueError, match="truncated model file"):
                 dataio.load_model(cut_path)
+
+    @staticmethod
+    def edit_tree(src, dst, edit):
+        """Copy a model file with `edit` applied to its tree document."""
+        blob = src.read_bytes()
+        (length,) = struct.unpack_from("<Q", blob, 8)
+        meta = json.loads(blob[16:16 + length])
+        edit(meta["tree"])
+        raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+        dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
+                        + blob[16 + length:])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("split_feature", 99, "splits on feature 99, outside \\[0, 6\\)"),
+        ("split_feature", -1, "splits on feature -1, outside \\[0, 6\\)"),
+        ("left", 12345, "has a missing child 12345"),
+        ("right", 12345, "has a missing child 12345"),
+    ], ids=["feature-too-high", "feature-negative", "left-missing",
+            "right-missing"])
+    def test_damaged_tree_rejected_at_load(self, tmp_path, state, field,
+                                           value, message):
+        model, views = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        internal = max(n.id for n in model.tree.nodes.values()
+                       if n.kind == INTERNAL)
+
+        def edit(doc):
+            for rec in doc["nodes"]:
+                if rec["id"] == internal:
+                    rec[field] = value
+
+        self.edit_tree(path, tmp_path / "same.bin", lambda doc: None)
+        np.testing.assert_array_equal(
+            dataio.load_model(tmp_path / "same.bin").predict(views),
+            model.predict(views))
+        self.edit_tree(path, tmp_path / "damaged.bin", edit)
+        with pytest.raises(ValueError, match=f"tree node {internal} {message}"):
+            dataio.load_model(tmp_path / "damaged.bin")
+
+    def test_tree_wider_than_the_views_rejected_at_load(self, tmp_path, state):
+        model, _ = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        self.edit_tree(path, tmp_path / "wide.bin",
+                       lambda doc: doc.update(feature_dim=7))
+        with pytest.raises(ValueError, match="tree has 7 features, the views 6"):
+            dataio.load_model(tmp_path / "wide.bin")

@@ -489,6 +489,12 @@ class TestExplain:
         with pytest.raises(ValueError):
             pipeline.explain(fitted, [np.zeros(4), np.zeros(3)])
 
+    def test_multi_row_view_rejected(self, fitted, small_dataset):
+        views, _ = small_dataset
+        with pytest.raises(ValueError, match="view 1 has 2 rows; explain "
+                                             "takes one instance"):
+            pipeline.explain(fitted, [views[0][0], views[1][:2]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, fitted, small_dataset, bad):
         views, _ = small_dataset
@@ -505,6 +511,19 @@ def test_predict_rejects_non_finite_query(fitted, small_dataset, bad):
     query[0][3] = bad
     with pytest.raises(ValueError, match="view 0 has a non-finite value in row 3"):
         fitted.predict(query)
+
+
+def test_predict_rejects_a_view_that_is_not_2d(fitted, small_dataset):
+    views, _ = small_dataset
+    with pytest.raises(ValueError,
+                       match=r"view 1 has shape \(75,\), expected \(rows, 4\)"):
+        fitted.predict([views[0], views[1][:, 0]])
+
+
+def test_predict_rejects_views_of_different_lengths(fitted, small_dataset):
+    views, _ = small_dataset
+    with pytest.raises(ValueError, match="view 1 has 74 rows, expected 75"):
+        fitted.predict([views[0], views[1][:-1]])
 
 
 def test_finite_rows_whose_sum_overflows_are_accepted():

@@ -1,0 +1,138 @@
+"""The read path: `ModelState.predict` routes the views in place.
+
+The oracle is the concatenated route: the views side by side in one
+matrix, walked row by row with `x[feature] <= threshold`.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from imvc.dtree import INTERNAL, LEAF, DecisionTree, TreeNode, build_tree
+from imvc.pipeline import LabelSet, ModelState, PipelineConfig
+
+THRESHOLDS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
+
+
+def serving_model(tree, view_dims, standardizer=None):
+    """A ModelState holding only what `predict` reads."""
+    empty = np.zeros(0, dtype=np.int64)
+    return ModelState(config=PipelineConfig(k=tree.k), autoencoders=[],
+                      centers=[], tree=tree,
+                      labels=LabelSet.from_hard(empty, tree.k),
+                      kmeans_labels=empty, view_dims=list(view_dims),
+                      standardizer=standardizer)
+
+
+def reference_labels(tree, X, start):
+    """Leaf labels by walking each row of the concatenated matrix."""
+    out = []
+    for x in X:
+        node = tree.node(start)
+        while node.kind == INTERNAL:
+            go_left = x[node.split_feature] <= node.split_value
+            node = tree.node(node.left if go_left else node.right)
+        out.append(node.label)
+    return np.array(out, dtype=np.int64)
+
+
+@st.composite
+def served_problems(draw):
+    """Views, a tree splitting on every view's first and last column, and
+    a model over them, with the standardizer on or off."""
+    n_views = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        dims = [1] * n_views
+    else:
+        dims = [draw(st.integers(1, 4)) for _ in range(n_views)]
+    n = draw(st.sampled_from([0, 1, 2, 7, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # integer values, so rows fall on thresholds and test `<=`
+    views = [rng.integers(-2, 3, size=(n, d)).astype(np.float64) for d in dims]
+    offsets = np.cumsum([0] + dims[:-1])
+    split_features = [int(f) for o, d in zip(offsets, dims)
+                      for f in (o, o + d - 1)]
+    split_features += [int(f) for f in rng.integers(sum(dims), size=3)]
+    k = 3
+    nodes = {0: TreeNode(id=0, kind=LEAF, depth=0, label=0)}
+    for sf in split_features:
+        leaf = nodes[int(rng.choice([i for i, nd in nodes.items()
+                                     if nd.kind == LEAF]))]
+        left, right = len(nodes), len(nodes) + 1
+        for child in (left, right):
+            nodes[child] = TreeNode(id=child, kind=LEAF, depth=leaf.depth + 1,
+                                    label=int(rng.integers(k)))
+        leaf.kind, leaf.label = INTERNAL, None
+        leaf.split_feature = sf
+        leaf.split_value = float(rng.choice(THRESHOLDS))
+        leaf.left, leaf.right = left, right
+    tree = DecisionTree(nodes, 0, k, sum(dims))
+    standardizer = None
+    if draw(st.booleans()):
+        standardizer = [(rng.integers(-1, 2, size=d).astype(np.float64),
+                         rng.choice([0.5, 1.0, 2.0], size=d))
+                        for d in dims]
+    return views, serving_model(tree, dims, standardizer)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=served_problems())
+def test_predict_equals_the_concatenated_route(problem):
+    views, model = problem
+    tree = model.tree
+    X = np.hstack(model.preprocess(views))
+    labels = model.predict(views)
+    np.testing.assert_array_equal(labels, tree.predict_batch(X))
+    np.testing.assert_array_equal(labels, reference_labels(tree, X, tree.root))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=served_problems())
+def test_route_over_views_equals_route_over_their_concatenation(problem):
+    views, model = problem
+    tree = model.tree
+    views = model.preprocess(views)
+    X = np.hstack(views)
+    for start in tree.nodes:
+        by_views = list(tree.route(views, start))
+        by_matrix = list(tree.route(X, start))
+        assert [n for n, _ in by_views] == [n for n, _ in by_matrix]
+        for (_, a), (_, b) in zip(by_views, by_matrix):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(tree.predict_views(views, start),
+                                      reference_labels(tree, X, start))
+
+
+def test_predict_makes_no_concatenated_copy():
+    """Peak allocation stays under half of the views' concatenation."""
+    rng = np.random.default_rng(0)
+    n, dims = 50_000, [8, 8, 8]
+    views = [rng.standard_normal((n, d)) for d in dims]
+    sample = np.hstack([v[:2000] for v in views])
+    tree = build_tree(sample, rng.integers(0, 3, size=2000), max_depth=8,
+                      min_num=10, k=3)
+    assert tree.n_nodes > 50
+    model = serving_model(tree, dims)
+    tracemalloc.start()
+    try:
+        model.predict(views)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * sum(dims) * 8 / 2
+
+
+def test_route_rejects_views_that_do_not_fit_the_tree():
+    tree = build_tree(np.array([[0.0, 1.0], [1.0, 0.0]]), [0, 1],
+                      max_depth=2, min_num=1)
+    for views, message in (
+            ([np.zeros((3, 1)), np.zeros((2, 1))],
+             r"view 1 has shape \(2, 1\), expected 2-D with 3 rows"),
+            ([np.zeros((3, 1)), np.zeros(3)],
+             r"view 1 has shape \(3,\), expected 2-D with 3 rows"),
+            ([np.zeros((3, 1))], "views have 1 features, expected 2")):
+        with pytest.raises(ValueError, match=message):
+            tree.predict_views(views)
