@@ -383,6 +383,37 @@ def save_model(state: ModelState, path) -> None:
         _write_array(f, state.kmeans_labels)
 
 
+# the metadata fields load_model reads, with their JSON types
+_META_FIELDS = {
+    "config": (dict, "object"),
+    "view_dims": (list, "array"),
+    "has_standardizer": (bool, "boolean"),
+    "converged": (bool, "boolean"),
+    "cycles_run": (int, "integer"),
+    "autoencoders": (list, "array"),
+    "tree": (dict, "object"),
+}
+
+
+def _damaged(path, what: str) -> ValueError:
+    return ValueError(f"damaged model file {path}: metadata {what}")
+
+
+def _check_meta(meta, path) -> None:
+    """Reject model metadata that lacks a field load_model reads or holds
+    it as the wrong JSON type, naming the file and the field."""
+    if not isinstance(meta, dict):
+        raise _damaged(path, "is not a JSON object")
+    for name, (kind, json_kind) in _META_FIELDS.items():
+        if name not in meta:
+            raise _damaged(path, f"field {name!r} is missing")
+        if not isinstance(meta[name], kind):
+            raise _damaged(path, f"field {name!r} is not a JSON {json_kind}")
+    if not all(type(d) is int and d > 0 for d in meta["view_dims"]):
+        raise _damaged(path, "field 'view_dims' is not a list of positive "
+                             "integers")
+
+
 def load_model(path) -> ModelState:
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -392,7 +423,11 @@ def load_model(path) -> ModelState:
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model version {version}")
         meta = _read_json(f)
-        cfg = PipelineConfig(**meta["config"])
+        _check_meta(meta, path)
+        try:
+            cfg = PipelineConfig(**meta["config"])
+        except TypeError as exc:        # a key PipelineConfig lacks or needs
+            raise _damaged(path, f"field 'config' is malformed: {exc}") from None
         view_dims = meta["view_dims"]
         standardizer = None
         if meta["has_standardizer"]:

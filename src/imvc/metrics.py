@@ -6,8 +6,9 @@ solved as an assignment problem on the negated contingency table.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def contingency_table(pred, truth) -> np.ndarray:
@@ -32,17 +33,77 @@ def purity(pred, truth) -> float:
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost perfect matching of a square cost matrix.
 
-    Returns the column assigned to each row.
+    Returns the column assigned to each row. The solver is the
+    shortest-augmenting-path algorithm of Crouse, "On implementing 2D
+    rectangular assignment algorithms" (IEEE TAES 2016), with the
+    operation order and tie rules of scipy's `linear_sum_assignment`, so
+    it picks the same matching as scipy among equal-cost ones:
+    `remaining` is filled in reverse, the column scan keeps the lower path
+    cost and on a tie an unassigned column, and a column leaves
+    `remaining` by swap-remove.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"cost matrix must be square, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    assignment = np.empty(cost.shape[0], dtype=np.int64)
-    assignment[rows] = cols
-    return assignment
+    n = cost.shape[0]
+    c = cost.tolist()           # Python floats: the same IEEE doubles, faster
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur_row in range(n):
+        # shortest augmenting path from cur_row to an unassigned column
+        spc = [math.inf] * n    # shortest path cost to each column
+        in_sr = [False] * n     # rows on the path tree
+        in_sc = [False] * n     # columns on the path tree
+        remaining = list(range(n - 1, -1, -1))
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            in_sr[i] = True
+            ci, ui = c[i], u[i]
+            index = -1
+            lowest = math.inf
+            for it, j in enumerate(remaining):
+                # summed in scipy's order: another order can round
+                # differently and so break a tie the other way
+                r = min_val + ci[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest = spc[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_sc[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update
+        u[cur_row] += min_val
+        for i in range(n):
+            if in_sr[i] and i != cur_row:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(n):
+            if in_sc[j]:
+                v[j] -= min_val - spc[j]
+        # augment along the path back to cur_row
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return np.array(col4row, dtype=np.int64)
 
 
 def clustering_accuracy(pred, truth) -> float:

@@ -248,6 +248,8 @@ def init_centers(Z: np.ndarray, hard: np.ndarray, k: int,
 def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     """Algorithmic warm start: pretrain, pseudo-label, build the tree."""
     config.validate()
+    if len(views) == 0:
+        raise ValueError("fit needs at least one view")
     views = [np.asarray(v, dtype=np.float64) for v in views]
     n = views[0].shape[0]
     for v, view in enumerate(views):

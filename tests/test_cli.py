@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -88,12 +91,29 @@ class TestExportTree:
         out = capsys.readouterr().out
         assert out.startswith("digraph tree {")
 
+    @pytest.mark.parametrize("meta, message", [
+        ({}, "field 'config' is missing"),
+        ([1, 2], "is not a JSON object"),
+    ], ids=["empty-object", "array"])
+    def test_damaged_metadata_fails_cleanly(self, model_path, tmp_path,
+                                            capsys, meta, message):
+        blob = model_path.read_bytes()
+        (length,) = struct.unpack_from("<Q", blob, 8)
+        raw = json.dumps(meta).encode()
+        bad = tmp_path / "bad.imvc"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
+                        + blob[16 + length:])
+        rc = main(["export-tree", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: damaged model file {bad}: metadata ")
+        assert message in err
+
     def test_json_to_file(self, model_path, tmp_path):
         out = tmp_path / "tree.json"
         rc = main(["export-tree", str(model_path), "--format", "json",
                    "--out", str(out)])
         assert rc == 0
-        import json
         doc = json.loads(out.read_text())
         restored = dataio.doc_to_tree(doc)
         assert restored.n_nodes == len(doc["nodes"])

@@ -228,15 +228,47 @@ class TestModelSerialization:
                 dataio.load_model(cut_path)
 
     @staticmethod
-    def edit_tree(src, dst, edit):
-        """Copy a model file with `edit` applied to its tree document."""
+    def edit_meta(src, dst, edit):
+        """Copy a model file with its metadata replaced by `edit(meta)`."""
         blob = src.read_bytes()
         (length,) = struct.unpack_from("<Q", blob, 8)
-        meta = json.loads(blob[16:16 + length])
-        edit(meta["tree"])
+        meta = edit(json.loads(blob[16:16 + length]))
         raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
         dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
                         + blob[16 + length:])
+
+    @classmethod
+    def edit_tree(cls, src, dst, edit):
+        """Copy a model file with `edit` applied to its tree document."""
+        def edit_doc(meta):
+            edit(meta["tree"])
+            return meta
+        cls.edit_meta(src, dst, edit_doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: {}, "field 'config' is missing"),
+        (lambda meta: [1, 2], "is not a JSON object"),
+        (lambda meta: {k: v for k, v in meta.items() if k != "tree"},
+         "field 'tree' is missing"),
+        (lambda meta: dict(meta, converged="yes"),
+         "field 'converged' is not a JSON boolean"),
+        (lambda meta: dict(meta, config=dict(meta["config"], depth=3)),
+         "field 'config' is malformed: .*depth"),
+        (lambda meta: dict(meta, view_dims=["3", 3]),
+         "field 'view_dims' is not a list of positive integers"),
+    ], ids=["empty-object", "array", "no-tree", "converged-string",
+            "config-unknown-key", "view-dims-strings"])
+    def test_damaged_metadata_rejected_at_load(self, tmp_path, state, edit,
+                                               message):
+        model, _ = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        bad = tmp_path / "bad.imvc"
+        self.edit_meta(path, bad, edit)
+        with pytest.raises(ValueError,
+                           match=f"damaged model file .*bad.imvc: metadata "
+                                 f"{message}"):
+            dataio.load_model(bad)
 
     @pytest.mark.parametrize("field, value, message", [
         ("split_feature", 99, "splits on feature 99, outside \\[0, 6\\)"),

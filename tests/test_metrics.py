@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from imvc.metrics import (
     clustering_accuracy,
@@ -65,6 +66,56 @@ class TestHungarian:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             hungarian(np.zeros((2, 3)))
+
+
+def scipy_assignment(cost) -> np.ndarray:
+    """scipy's matching as the column for each row."""
+    rows, cols = linear_sum_assignment(cost)
+    assignment = np.empty(len(rows), dtype=np.int64)
+    assignment[rows] = cols
+    return assignment
+
+
+@st.composite
+def square_costs(draw):
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["ties", "negative", "constant", "float"]))
+    if kind == "constant":
+        return np.full((n, n), float(draw(st.integers(-3, 3))))
+    elements = {
+        "ties": st.integers(0, 3),
+        "negative": st.integers(-3, 0),
+        "float": st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    }[kind]
+    cells = draw(st.lists(elements, min_size=n * n, max_size=n * n))
+    return np.array(cells, dtype=np.float64).reshape(n, n)
+
+
+@st.composite
+def label_tables(draw):
+    """The negated k x k table tree_phase matches k-means labels by."""
+    k = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                    st.integers(0, k - 1)), max_size=60))
+    km = np.array([p[0] for p in pairs], dtype=np.int64)
+    hard = np.array([p[1] for p in pairs], dtype=np.int64)
+    return -np.bincount(km * k + hard, minlength=k * k).reshape(k, k)
+
+
+class TestHungarianMatchesScipy:
+    """The same column for every row as scipy, ties included, so the
+    labels tree_phase aligns, and the saved model, do not depend on which
+    solver ran."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(square_costs())
+    def test_square_costs(self, cost):
+        np.testing.assert_array_equal(hungarian(cost), scipy_assignment(cost))
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_tables())
+    def test_negated_label_tables(self, table):
+        np.testing.assert_array_equal(hungarian(table), scipy_assignment(table))
 
 
 class TestClusteringAccuracy:

@@ -96,6 +96,10 @@ class TestInitialize:
         with pytest.raises(ValueError, match="k = 5 exceeds the 4 instances"):
             pipeline.initialize(views, PipelineConfig(k=5, e1=1))
 
+    def test_no_views_rejected_before_training(self, no_training):
+        with pytest.raises(ValueError, match="at least one view"):
+            pipeline.fit([], PipelineConfig(k=2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_view_rejected_before_training(self, no_training, bad):
         views = [np.zeros((4, 2)), np.zeros((4, 2))]
