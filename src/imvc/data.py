@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -305,25 +306,8 @@ def _write_blob(f, data: bytes) -> None:
     f.write(data)
 
 
-def _read_exact(f, size: int) -> bytes:
-    data = f.read(size)
-    if len(data) != size:
-        raise ValueError(f"truncated model file {f.name}: wanted {size} bytes "
-                         f"at offset {f.tell() - len(data)}, got {len(data)}")
-    return data
-
-
-def _read_blob(f) -> bytes:
-    (length,) = struct.unpack("<Q", _read_exact(f, 8))
-    return _read_exact(f, length)
-
-
 def _write_json(f, obj) -> None:
     _write_blob(f, json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
-
-
-def _read_json(f):
-    return json.loads(_read_blob(f).decode())
 
 
 def _write_array(f, arr: np.ndarray) -> None:
@@ -332,13 +316,40 @@ def _write_array(f, arr: np.ndarray) -> None:
     _write_blob(f, arr.tobytes())
 
 
-def _read_array(f, copy: bool = True) -> np.ndarray:
-    """The next array; without `copy`, a read-only view of the file's bytes."""
-    header = _read_json(f)
-    raw = _read_blob(f)
-    array = np.frombuffer(raw, dtype=np.dtype(header["dtype"])).reshape(
-        header["shape"])
-    return array.copy() if copy else array
+class _ModelReader:
+    """Reads a model file front to back.
+
+    Every read is checked against the bytes left in the file before it is
+    taken, so a damaged length prefix allocates nothing: it is reported as
+    a truncation, naming the file.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
+
+    def exact(self, size: int) -> bytes:
+        if size > self.left:
+            raise ValueError(f"truncated model file {self.f.name}: wanted "
+                             f"{size} bytes at offset {self.f.tell()}, got "
+                             f"{self.left}")
+        self.left -= size
+        return self.f.read(size)
+
+    def blob(self) -> bytes:
+        (length,) = struct.unpack("<Q", self.exact(8))
+        return self.exact(length)
+
+    def json(self):
+        return json.loads(self.blob().decode())
+
+    def array(self, copy: bool = True) -> np.ndarray:
+        """The next array; without `copy`, a read-only view of the file's
+        bytes."""
+        header = self.json()
+        array = np.frombuffer(self.blob(), dtype=np.dtype(header["dtype"]))
+        array = array.reshape(header["shape"])
+        return array.copy() if copy else array
 
 
 def _layer_meta(ae: nncore.Autoencoder) -> dict:
@@ -419,10 +430,11 @@ def load_model(path) -> ModelState:
         magic = f.read(4)
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path} is not a model file")
-        (version,) = struct.unpack("<I", _read_exact(f, 4))
+        read = _ModelReader(f)
+        (version,) = struct.unpack("<I", read.exact(4))
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model version {version}")
-        meta = _read_json(f)
+        meta = read.json()
         _check_meta(meta, path)
         try:
             cfg = PipelineConfig(**meta["config"])
@@ -431,28 +443,26 @@ def load_model(path) -> ModelState:
         view_dims = meta["view_dims"]
         standardizer = None
         if meta["has_standardizer"]:
-            standardizer = [
-                (_read_array(f), _read_array(f)) for _ in view_dims
-            ]
+            standardizer = [(read.array(), read.array()) for _ in view_dims]
         autoencoders = []
         for ae_meta in meta["autoencoders"]:
             # Autoencoder copies its layers into one parameter vector, so
             # they are read without a copy of their own
             encoder = [
-                nncore.DenseLayer(_read_array(f, copy=False),
-                                  _read_array(f, copy=False), act)
+                nncore.DenseLayer(read.array(copy=False),
+                                  read.array(copy=False), act)
                 for act in ae_meta["encoder"]
             ]
             decoder = [
-                nncore.DenseLayer(_read_array(f, copy=False),
-                                  _read_array(f, copy=False), act)
+                nncore.DenseLayer(read.array(copy=False),
+                                  read.array(copy=False), act)
                 for act in ae_meta["decoder"]
             ]
             autoencoders.append(nncore.Autoencoder(
                 encoder, decoder, view_index=ae_meta["view_index"]))
-        centers = [_read_array(f) for _ in view_dims]
-        hard = _read_array(f)
-        kmeans_labels = _read_array(f)
+        centers = [read.array() for _ in view_dims]
+        hard = read.array()
+        kmeans_labels = read.array()
     tree = doc_to_tree(meta["tree"])
     if tree.feature_dim != sum(view_dims):
         raise ValueError(f"tree has {tree.feature_dim} features, the views "

@@ -136,13 +136,9 @@ class DecisionTree:
         return int(self.nodes[leaf].label)
 
     def predict_batch(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
-        """Leaf labels of the rows of X, descending from `start`."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.feature_dim:
-            raise ValueError(
-                f"expected (n, {self.feature_dim}) matrix, got {X.shape}"
-            )
-        return self.predict_views([X], start)
+        """Leaf labels of the rows of the (n, feature_dim) matrix X,
+        descending from `start`; `route` checks X's shape."""
+        return self.predict_views([np.asarray(X, dtype=np.float64)], start)
 
     def predict_views(self, views: Sequence[np.ndarray],
                       start: int | None = None) -> np.ndarray:

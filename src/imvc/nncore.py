@@ -359,15 +359,6 @@ class WorkspacePool:
                 free.append(ws)
 
 
-def reconstruction_loss(Xhat: np.ndarray, X: np.ndarray) -> float:
-    """Sum over instances of the squared reconstruction residual."""
-    Xhat = np.asarray(Xhat, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if Xhat.shape != X.shape:
-        raise DimensionError(f"shape mismatch: {Xhat.shape} vs {X.shape}")
-    return float(np.sum((Xhat - X) ** 2))
-
-
 def soft_assignment(Z: np.ndarray, centers: np.ndarray, out=None, kernel=None,
                     diff=None, rowsum=None) -> np.ndarray:
     """Student's-t similarity of each embedding to each center, row-normalized.

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dtree, metrics, nncore, parallel, tao
-from .dtree import feature_attribution
 from .kmeans import kmeans as run_kmeans
 
 EMBED_DIMS = (128, 64)
@@ -98,41 +97,48 @@ class ModelState:
         return list(itertools.accumulate(self.view_dims[:-1], initial=0))
 
     def preprocess(self, views: list[np.ndarray]) -> list[np.ndarray]:
-        """The views as float64, checked and standardized as in training.
-
-        Every view must be 2-D, finite, as wide as in training and as long
-        as view 0.
-        """
-        views = [np.asarray(v, dtype=np.float64) for v in views]
-        if len(views) != len(self.view_dims):
-            raise ValueError(
-                f"expected {len(self.view_dims)} views, got {len(views)}"
-            )
-        for v, (view, dim) in enumerate(zip(views, self.view_dims)):
-            if view.ndim != 2:
-                raise ValueError(
-                    f"view {v} has shape {view.shape}, expected (rows, {dim})"
-                )
-            if view.shape[0] != views[0].shape[0]:
-                raise ValueError(
-                    f"view {v} has {view.shape[0]} rows, "
-                    f"expected {views[0].shape[0]}"
-                )
-            if view.shape[1] != dim:
-                raise ValueError(
-                    f"view {v} has {view.shape[1]} features, expected {dim}"
-                )
-            _check_finite(view, v)
-        if self.standardizer is None:
-            return views
-        return [
-            apply_standardizer(view, mean, std)
-            for view, (mean, std) in zip(views, self.standardizer)
-        ]
+        """The views as float64, checked and standardized as in training:
+        as many as in training, each as wide."""
+        return standardize(_check_views(views, self.view_dims),
+                           self.standardizer)
 
     def predict(self, views: list[np.ndarray]) -> np.ndarray:
         """Cluster of every row: the tree routes the views in place."""
         return self.tree.predict_views(self.preprocess(views))
+
+
+def _check_views(views: list[np.ndarray],
+                 view_dims: list[int] | None = None) -> list[np.ndarray]:
+    """The views as float64 arrays, each checked to be 2-D, as long as view
+    0 and finite; the errors name the view and row.
+
+    With `view_dims` there must be that many views, each as wide; without,
+    there must be at least one, each at least one column wide.
+    """
+    views = [np.asarray(v, dtype=np.float64) for v in views]
+    if view_dims is None and not views:
+        raise ValueError("fit needs at least one view")
+    if view_dims is not None and len(views) != len(view_dims):
+        raise ValueError(f"expected {len(view_dims)} views, got {len(views)}")
+    for v, view in enumerate(views):
+        dim = "features" if view_dims is None else view_dims[v]
+        if view.ndim != 2:
+            raise ValueError(
+                f"view {v} has shape {view.shape}, expected (rows, {dim})"
+            )
+        if view.shape[0] != views[0].shape[0]:
+            raise ValueError(
+                f"view {v} has {view.shape[0]} rows, "
+                f"expected {views[0].shape[0]}"
+            )
+        if view_dims is None and view.shape[1] < 1:
+            raise ValueError(f"view {v} has no features, expected at least 1")
+        if view_dims is not None and view.shape[1] != dim:
+            raise ValueError(
+                f"view {v} has {view.shape[1]} features, expected {dim}"
+            )
+        _check_finite(view, v)
+    return views
 
 
 def _check_finite(view: np.ndarray, v: int) -> None:
@@ -163,12 +169,14 @@ def apply_standardizer(view, mean, std) -> np.ndarray:
     return (np.asarray(view, dtype=np.float64) - mean) / std
 
 
-def concat_embeddings(per_view_z: list[np.ndarray]) -> np.ndarray:
-    """Column-wise join of the per-view embeddings, view order preserved."""
-    rows = {z.shape[0] for z in per_view_z}
-    if len(rows) != 1:
-        raise ValueError(f"views disagree on instance count: {sorted(rows)}")
-    return np.hstack(per_view_z)
+def standardize(views: list[np.ndarray],
+                standardizer: list[tuple[np.ndarray, np.ndarray]] | None
+                ) -> list[np.ndarray]:
+    """The views z-scored by `standardizer`; as they are when it is None."""
+    if standardizer is None:
+        return views
+    return [apply_standardizer(view, mean, std)
+            for view, (mean, std) in zip(views, standardizer)]
 
 
 def _embed_all(state: ModelState, views: list[np.ndarray]) -> list[np.ndarray]:
@@ -221,14 +229,6 @@ def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
     return history
 
 
-def _train_view(ae: nncore.Autoencoder, X: np.ndarray, epochs: int, lr: float,
-                yind=None, centers=None, lam: float = 0.0) -> list[float]:
-    """Train one view on its own; returns the loss history."""
-    return parallel.run([_train_epochs(ae, X, epochs, lr,
-                                       nncore.WorkspacePool(), yind=yind,
-                                       centers=centers, lam=lam)], 1)[0]
-
-
 def init_centers(Z: np.ndarray, hard: np.ndarray, k: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Per-label embedding means; empty labels fall back to the global
@@ -248,22 +248,15 @@ def init_centers(Z: np.ndarray, hard: np.ndarray, k: int,
 def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     """Algorithmic warm start: pretrain, pseudo-label, build the tree."""
     config.validate()
-    if len(views) == 0:
-        raise ValueError("fit needs at least one view")
-    views = [np.asarray(v, dtype=np.float64) for v in views]
+    views = _check_views(views)
     n = views[0].shape[0]
-    for v, view in enumerate(views):
-        if view.shape[0] != n:
-            raise ValueError(f"view {v} has {view.shape[0]} rows, expected {n}")
-        _check_finite(view, v)
     if config.k > n:
         raise ValueError(f"k = {config.k} exceeds the {n} instances")
     view_dims = [v.shape[1] for v in views]
-
     standardizer = None
     if config.standardize:
         standardizer = [fit_standardizer(v) for v in views]
-        views = [apply_standardizer(v, m, s) for v, (m, s) in zip(views, standardizer)]
+    views = standardize(views, standardizer)
 
     autoencoders = [
         nncore.Autoencoder.create(dim, EMBED_DIMS, seed=[config.seed, v, 1],
@@ -277,8 +270,8 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
         len(views))
     del workspaces      # freed before k-means allocates its buffers
 
-    Z = concat_embeddings([ae.forward(view)[0]
-                           for ae, view in zip(autoencoders, views)])
+    Z = np.hstack([ae.forward(view)[0]
+                   for ae, view in zip(autoencoders, views)])
     result = run_kmeans(Z, config.k, seed=[config.seed, 100])
     X = np.hstack(views)
     tree = dtree.build_tree(X, result.labels, config.max_depth, config.min_num,
@@ -334,7 +327,7 @@ def tree_phase(state: ModelState, views: list[np.ndarray],
     """
     config = state.config
     k = config.k
-    Z = concat_embeddings(_embed_all(state, views))
+    Z = np.hstack(_embed_all(state, views))
     km = run_kmeans(Z, k, seed=[config.seed, 300, cycle]).labels
     table = np.bincount(km * k + state.labels.hard, minlength=k * k).reshape(k, k)
     perm = metrics.hungarian(-table)
@@ -352,16 +345,11 @@ def fit(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
 
     Runs at most `config.outer_cycles` cycles and stops early once the
     partition stops changing, with k-means ids aligned to the tree's, so
-    an unchanged partition gives identical hard labels.
+    an unchanged partition gives identical hard labels. The cycles train
+    on the views as `ModelState.preprocess` prepares them for serving.
     """
     state = initialize(views, config)
-    if config.standardize:
-        views = [
-            apply_standardizer(v, m, s)
-            for v, (m, s) in zip(views, state.standardizer)
-        ]
-    else:
-        views = [np.asarray(v, dtype=np.float64) for v in views]
+    views = state.preprocess(views)
     prev = state.labels.hard.copy()
     for cycle in range(config.outer_cycles):
         feature_phase(state, views, cycle=cycle)
@@ -400,7 +388,7 @@ def explain(state: ModelState, x_views: list[np.ndarray]) -> tuple[list[Explanat
     steps = []
     for node_id, nxt in zip(ids, ids[1:]):
         node = state.tree.node(node_id)
-        view, local = feature_attribution(node.split_feature, offsets)
+        view, local = dtree.feature_attribution(node.split_feature, offsets)
         steps.append(ExplanationStep(
             feature=node.split_feature, view=view, local_feature=local,
             threshold=float(node.split_value), went_left=nxt == node.left,

@@ -15,40 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtree import INTERNAL, LEAF, DecisionTree, TreeNode
+from .dtree import INTERNAL, LEAF, DecisionTree, TreeNode, _majority
 
 MAX_SELF_LABEL_ITERATIONS = 50
 
 
-@dataclass
-class CareInstance:
-    index: int
-    correct_left: bool
-    correct_right: bool
-
-
 @dataclass(eq=False)
 class CareSet:
-    """The care instances of one node, as parallel arrays.
-
-    `len` is the number of care instances. Iterating yields them as
-    `CareInstance`s in row order, and a care set equals any sequence of
-    the same `CareInstance`s, so it reads like a list of them.
-    """
+    """The care instances of one node, as parallel arrays; `len` is their
+    number."""
     rows: np.ndarray             # indices into X, in the order of the reach set
     correct_left: np.ndarray     # True where only the left subtree is right
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __iter__(self):
-        for i, left in zip(self.rows.tolist(), self.correct_left.tolist()):
-            yield CareInstance(index=i, correct_left=left, correct_right=not left)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (CareSet, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 def compute_reach(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
@@ -70,7 +50,7 @@ def relabel_leaf(tree: DecisionTree, leaf_id: int, idx: np.ndarray,
         raise ValueError(f"node {leaf_id} is not a leaf")
     if len(idx) == 0:
         return False
-    new = int(np.argmax(np.bincount(Y[idx])))
+    new = _majority(Y[idx])
     changed = new != node.label
     node.label = new
     return changed
@@ -233,9 +213,3 @@ def optimize_tree(tree: DecisionTree, X: np.ndarray, Y_init,
             break
         labels = tree.predict_batch(X)
     return tree
-
-
-def misclassification(tree: DecisionTree, X: np.ndarray, Y) -> int:
-    """Total count of instances whose routed leaf label differs from Y."""
-    Y = np.asarray(Y, dtype=np.int64)
-    return int(np.sum(tree.predict_batch(X) != Y))

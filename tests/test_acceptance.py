@@ -17,10 +17,10 @@ from imvc.dtree import best_split, build_tree, gini, split_gini
 from imvc.kmeans import kmeans, kmeanspp_init, lloyd
 from imvc.metrics import clustering_accuracy, hungarian, pairwise_f1, purity
 from imvc.nncore import Autoencoder, combined_loss, cross_entropy_loss, soft_assignment
-from imvc.tao import compute_reach, misclassification, tao_pass
+from imvc.tao import compute_reach, tao_pass
 
 from test_nncore import max_rel_error, numeric_gradients
-from test_tao import toy_three_label_instance
+from test_tao import misclassification, toy_three_label_instance
 
 
 def report(num, detail=""):

@@ -6,7 +6,7 @@ import pytest
 
 from imvc import data as dataio
 from imvc import pipeline
-from imvc.dtree import INTERNAL, build_tree
+from imvc.dtree import INTERNAL, build_tree, feature_attribution
 from imvc.pipeline import PipelineConfig
 
 
@@ -179,9 +179,9 @@ class TestTreeExport:
                                       tree.predict_batch(probes))
 
     def test_view_attribution_rendering(self):
-        assert pipeline.feature_attribution(80, [0, 76]) == (1, 4)
-        assert pipeline.feature_attribution(75, [0, 76]) == (0, 75)
-        assert pipeline.feature_attribution(76, [0, 76]) == (1, 0)
+        assert feature_attribution(80, [0, 76]) == (1, 4)
+        assert feature_attribution(75, [0, 76]) == (0, 75)
+        assert feature_attribution(76, [0, 76]) == (1, 0)
 
 
 class TestModelSerialization:
@@ -226,6 +226,30 @@ class TestModelSerialization:
             cut_path.write_bytes(blob[:size])
             with pytest.raises(ValueError, match="truncated model file"):
                 dataio.load_model(cut_path)
+
+    @pytest.mark.parametrize("blob, length", [
+        ("metadata", 2**63), ("metadata", 2**40), ("array", 2**62),
+    ], ids=["metadata-2^63", "metadata-2^40", "array-2^62"])
+    def test_length_prefix_past_the_end_rejected(self, tmp_path, state, blob,
+                                                 length):
+        model, _ = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        (meta_length,) = struct.unpack_from("<Q", raw, 8)
+        at = 8                                  # the metadata's prefix
+        if blob == "array":
+            # past the metadata and the first array's header
+            header = 16 + meta_length
+            (header_length,) = struct.unpack_from("<Q", raw, header)
+            at = header + 8 + header_length
+        struct.pack_into("<Q", raw, at, length)
+        bad = tmp_path / "bad.imvc"
+        bad.write_bytes(raw)
+        with pytest.raises(ValueError,
+                           match=f"truncated model file .*bad.imvc: wanted "
+                                 f"{length} bytes at offset {at + 8}"):
+            dataio.load_model(bad)
 
     @staticmethod
     def edit_meta(src, dst, edit):

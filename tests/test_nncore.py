@@ -16,7 +16,6 @@ from imvc.nncore import (
     adam_step,
     combined_loss,
     cross_entropy_loss,
-    reconstruction_loss,
     soft_assignment,
 )
 
@@ -74,27 +73,38 @@ class TestForward:
         assert np.array_equal(Z1, Z2) and np.array_equal(X1, X2)
 
 
+def reconstruction_loss(X, scale=1.0, shift=0.0):
+    """The Lr that loss_and_grads returns for X when the reconstruction is
+    scale * X + shift: one linear layer each way, a scaled identity into
+    the embedding and an identity plus `shift` back out."""
+    X = np.asarray(X, dtype=np.float64)
+    d = X.shape[1]
+    ae = Autoencoder([DenseLayer(scale * np.eye(d), np.zeros(d), "linear")],
+                     [DenseLayer(np.eye(d), np.broadcast_to(shift, d), "linear")])
+    return ae.loss_and_grads(X)[0]
+
+
 class TestReconstructionLoss:
+    """Lr, the sum of squared residuals, as loss_and_grads computes it."""
+
     def test_zero_when_equal(self):
         X = np.random.default_rng(0).standard_normal((3, 2))
-        assert reconstruction_loss(X, X) == 0.0
+        assert reconstruction_loss(X) == 0.0
 
     def test_unit_residual(self):
-        assert reconstruction_loss([[0.0, 0.0]], [[1.0, 0.0]]) == 1.0
+        assert reconstruction_loss([[1.0, 0.0]], shift=[-1.0, 0.0]) == 1.0
 
     def test_sum_of_squares_oracle(self):
-        # by hand: 1 + 4 + 9 + 16
-        assert reconstruction_loss([[0, 0], [0, 0]], [[1, 2], [3, 4]]) == 30.0
+        # reconstruction 0 everywhere; by hand: 1 + 4 + 9 + 16
+        assert reconstruction_loss([[1, 2], [3, 4]], scale=0.0) == 30.0
 
     def test_strictly_positive_when_different(self):
-        X = np.zeros((2, 2))
-        Y = X.copy()
-        Y[0, 0] = 1e-9
-        assert reconstruction_loss(Y, X) > 0.0
+        assert reconstruction_loss(np.zeros((2, 2)), shift=[1e-9, 0.0]) > 0.0
 
     def test_shape_mismatch(self):
+        ae = Autoencoder.create(2, (3,), seed=0)
         with pytest.raises(nncore.DimensionError):
-            reconstruction_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+            ae.loss_and_grads(np.zeros((2, 3)))
 
 
 class TestSoftAssignment:

@@ -16,7 +16,9 @@ from imvc import data as dataio
 from imvc import nncore, pipeline
 from imvc.dtree import LEAF
 from imvc.kmeans import KMeansResult
-from imvc.pipeline import PipelineConfig, concat_embeddings
+from imvc.pipeline import PipelineConfig
+
+from test_training import train_view
 
 
 @pytest.fixture(scope="module")
@@ -38,30 +40,6 @@ def fitted(small_dataset):
     config = PipelineConfig(k=3, e1=30, e2=40, min_num=5, seed=1,
                             outer_cycles=3)
     return pipeline.fit(views, config)
-
-
-class TestConcat:
-    def test_single_view_identity(self):
-        Z = np.random.default_rng(0).standard_normal((4, 3))
-        np.testing.assert_array_equal(concat_embeddings([Z]), Z)
-
-    def test_view_order_preserved(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        out = concat_embeddings([a, b])
-        np.testing.assert_array_equal(out, [[1, 2, 5, 6], [3, 4, 7, 8]])
-
-    def test_column_offsets(self):
-        rng = np.random.default_rng(1)
-        zs = [rng.standard_normal((3, 64)) for _ in range(3)]
-        out = concat_embeddings(zs)
-        for v, z in enumerate(zs):
-            for j in (0, 17, 63):
-                np.testing.assert_array_equal(out[:, v * 64 + j], z[:, j])
-
-    def test_row_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            concat_embeddings([np.zeros((2, 2)), np.zeros((3, 2))])
 
 
 class TestInitialize:
@@ -106,6 +84,18 @@ class TestInitialize:
         views[1][2, 1] = bad
         with pytest.raises(ValueError, match="view 1 .* non-finite .* row 2"):
             pipeline.initialize(views, PipelineConfig(k=2, e1=1))
+
+    @pytest.mark.parametrize("shape, message", [
+        ((20,), r"view 1 has shape \(20,\), expected \(rows, features\)"),
+        ((20, 2, 2),
+         r"view 1 has shape \(20, 2, 2\), expected \(rows, features\)"),
+        ((20, 0), "view 1 has no features, expected at least 1"),
+    ], ids=["1-d", "3-d", "no-columns"])
+    def test_misshapen_view_rejected_before_training(self, no_training, shape,
+                                                     message):
+        views = [np.zeros((20, 2)), np.zeros(shape)]
+        with pytest.raises(ValueError, match=message):
+            pipeline.fit(views, PipelineConfig(k=2, e1=1))
 
 
 class TestViewPool:
@@ -324,7 +314,7 @@ class TestFeaturePhase:
         pipeline.feature_phase(state, [np.asarray(v, float) for v in views])
         for ae, ae_twin, view in zip(state.autoencoders, twin.autoencoders,
                                      views):
-            pipeline._train_view(ae_twin, np.asarray(view, float), 8, config.lr)
+            train_view(ae_twin, np.asarray(view, float), 8, config.lr)
             for a, b in zip(ae.parameters(), ae_twin.parameters()):
                 np.testing.assert_array_equal(a, b)
 

@@ -15,7 +15,6 @@ from imvc.dtree import (
 from imvc.tao import (
     care_set,
     compute_reach,
-    misclassification,
     node_objective,
     optimize_node,
     optimize_tree,
@@ -28,6 +27,11 @@ from imvc.tao import (
 def make_tree(nodes, root, k, feature_dim):
     return DecisionTree(nodes={n.id: n for n in nodes}, root=root, k=k,
                         feature_dim=feature_dim)
+
+
+def misclassification(tree, X, Y):
+    """Total count of instances whose routed leaf label differs from Y."""
+    return int(np.sum(tree.predict_batch(X) != np.asarray(Y, dtype=np.int64)))
 
 
 def toy_three_label_instance():
@@ -181,16 +185,17 @@ class TestCareSet:
             TreeNode(id=2, kind=LEAF, depth=1, label=0),
         ]
         tree = make_tree(nodes, 0, 2, 1)
-        assert care_set(tree, 0, np.arange(3), X, np.array([0, 1, 0])) == []
+        care = care_set(tree, 0, np.arange(3), X, np.array([0, 1, 0]))
+        assert care.rows.tolist() == [] and care.correct_left.tolist() == []
 
     def test_toy_excludes_unfixable_instance(self):
         tree, X, Y = toy_three_label_instance()
         reach = compute_reach(tree, X)
         care = care_set(tree, 1, reach[1], X, Y)
-        indices = {c.index for c in care}
+        indices = set(care.rows.tolist())
         assert indices == {0, 2, 3, 4}      # instance 1 excluded
-        by_index = {c.index: c for c in care}
-        assert by_index[4].correct_right and not by_index[4].correct_left
+        correct_left = dict(zip(care.rows.tolist(), care.correct_left.tolist()))
+        assert not correct_left[4]          # only the right side is correct
 
     def test_matches_force_both_sides_oracle(self):
         rng = np.random.default_rng(0)
@@ -204,13 +209,13 @@ class TestCareSet:
                 if node.kind != INTERNAL:
                     continue
                 care = care_set(tree, node.id, reach[node.id], X, y)
-                lookup = {c.index: c for c in care}
-                for i in reach[node.id]:
+                lookup = dict(zip(care.rows.tolist(),
+                                  care.correct_left.tolist()))
+                for i in reach[node.id].tolist():
                     left_ok = tree.predict(X[i], start=node.left) == y[i]
                     right_ok = tree.predict(X[i], start=node.right) == y[i]
                     if left_ok != right_ok:
-                        c = lookup[i]
-                        assert (c.correct_left, c.correct_right) == (left_ok, right_ok)
+                        assert lookup[i] == left_ok
                     else:
                         assert i not in lookup
 

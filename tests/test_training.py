@@ -2,8 +2,9 @@
 
 `reference_loss_and_grads` and `reference_adam_step` are the formulas as
 they were before training reused a Workspace and Adam scratch: every
-intermediate is a fresh array. Training through `pipeline._train_view`
-must reproduce them bit for bit.
+intermediate is a fresh array. Training one view through
+`pipeline._train_epochs`, as `train_view` does, must reproduce them bit
+for bit.
 """
 
 import copy
@@ -14,8 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imvc import nncore, pipeline
+from imvc import nncore, parallel, pipeline
 from imvc.nncore import LOG_EPS, AdamState, Autoencoder, Workspace, adam_step
+
+
+def train_view(ae, X, epochs, lr, yind=None, centers=None, lam=0.0):
+    """Train one view on its own, as the pipeline's phases train each of
+    theirs; returns the loss history."""
+    return parallel.run([pipeline._train_epochs(ae, X, epochs, lr,
+                                                nncore.WorkspacePool(),
+                                                yind=yind, centers=centers,
+                                                lam=lam)], 1)[0]
 
 
 def reference_loss_and_grads(ae, X, yind=None, centers=None, lam=0.0):
@@ -104,8 +114,7 @@ def assert_bits_equal(a, b):
 def assert_same_training(ae, X, epochs, lr, yind=None, centers=None, lam=0.0):
     """Train twins of ae and centers both ways; every bit must agree."""
     ref_ae, ref_centers = copy.deepcopy(ae), copy.deepcopy(centers)
-    got = pipeline._train_view(ae, X, epochs, lr, yind=yind, centers=centers,
-                               lam=lam)
+    got = train_view(ae, X, epochs, lr, yind=yind, centers=centers, lam=lam)
     want = reference_train_view(ref_ae, X, epochs, lr, yind=yind,
                                 centers=ref_centers, lam=lam)
     assert got == want
