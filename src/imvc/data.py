@@ -1,28 +1,30 @@
 """Dataset ingestion, synthetic generation, model and tree serialization.
 
 Datasets are a JSON manifest plus one headerless numeric CSV per view
-(rows aligned across views) and an optional integer labels CSV. Models
-are stored in a little-endian, length-prefixed binary container so a
-reload is bit-exact.
+(rows aligned across views) and an optional integer labels CSV. A model
+file holds what serving reads: a little-endian header (magic, version,
+sha256 and length of the payload) and one JSON payload with the config,
+the view widths, the standardizer and the tree. JSON writes each float
+as its shortest round-tripping repr, so a reload is bit-exact.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import nncore
 from .dtree import INTERNAL, DecisionTree, TreeNode, feature_attribution
-from .pipeline import LabelSet, ModelState, PipelineConfig
+from .pipeline import PipelineConfig, ServedModel
 
 MODEL_MAGIC = b"IMVC"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 TREE_SCHEMA_VERSION = 1
 
 
@@ -240,21 +242,29 @@ def tree_to_doc(tree: DecisionTree, view_offsets: list[int]) -> dict:
 
 
 def doc_to_tree(doc: dict) -> DecisionTree:
-    """The tree a document describes. A split on a feature outside
-    [0, feature_dim), or a missing root or child, is rejected."""
+    """The tree a document describes. A missing field, a split on a feature
+    outside [0, feature_dim), or a missing root or child, is rejected."""
     if doc.get("schema_version") != TREE_SCHEMA_VERSION:
         raise ValueError(f"unsupported tree schema: {doc.get('schema_version')}")
+    try:
+        feature_dim, root, k = doc["feature_dim"], doc["root"], doc["k"]
+        records = doc["nodes"]
+    except KeyError as exc:
+        raise ValueError(f"tree document lacks field {exc}") from None
     nodes = {}
-    for rec in doc["nodes"]:
-        nodes[rec["id"]] = TreeNode(
-            id=rec["id"], kind=rec["kind"], depth=rec["depth"],
-            split_feature=rec["split_feature"], split_value=rec["split_value"],
-            label=rec["label"], left=rec["left"], right=rec["right"],
-            count=rec.get("count"),
-        )
-    feature_dim = doc["feature_dim"]
-    if doc["root"] not in nodes:
-        raise ValueError(f"tree root {doc['root']} is not a node")
+    for i, rec in enumerate(records):
+        try:
+            nodes[rec["id"]] = TreeNode(
+                id=rec["id"], kind=rec["kind"], depth=rec["depth"],
+                split_feature=rec["split_feature"],
+                split_value=rec["split_value"], label=rec["label"],
+                left=rec["left"], right=rec["right"], count=rec["count"],
+            )
+        except KeyError as exc:
+            node = rec.get("id", f"#{i}")
+            raise ValueError(f"tree node {node} lacks field {exc}") from None
+    if root not in nodes:
+        raise ValueError(f"tree root {root} is not a node")
     for node in nodes.values():
         if node.kind != INTERNAL or (
                 type(node.split_feature) is int
@@ -266,8 +276,7 @@ def doc_to_tree(doc: dict) -> DecisionTree:
                 raise ValueError(f"tree node {node.id} has a missing child {child}")
         raise ValueError(f"tree node {node.id} splits on feature "
                          f"{node.split_feature}, outside [0, {feature_dim})")
-    return DecisionTree(nodes=nodes, root=doc["root"], k=doc["k"],
-                        feature_dim=feature_dim)
+    return DecisionTree(nodes=nodes, root=root, k=k, feature_dim=feature_dim)
 
 
 def export_tree(tree: DecisionTree, view_offsets: list[int],
@@ -301,113 +310,49 @@ def export_tree(tree: DecisionTree, view_offsets: list[int],
 # ---------------------------------------------------------------------------
 # model serialization
 
-def _write_blob(f, data: bytes) -> None:
-    f.write(struct.pack("<Q", len(data)))
-    f.write(data)
+# magic, version, sha256 of the payload, payload length
+_HEADER = struct.Struct("<4sI32sQ")
 
 
-def _write_json(f, obj) -> None:
-    _write_blob(f, json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
-
-
-def _write_array(f, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
-    _write_json(f, {"dtype": str(arr.dtype), "shape": list(arr.shape)})
-    _write_blob(f, arr.tobytes())
-
-
-class _ModelReader:
-    """Reads a model file front to back.
-
-    Every read is checked against the bytes left in the file before it is
-    taken, so a damaged length prefix allocates nothing: it is reported as
-    a truncation, naming the file.
-    """
-
-    def __init__(self, f):
-        self.f = f
-        self.left = os.fstat(f.fileno()).st_size - f.tell()
-
-    def exact(self, size: int) -> bytes:
-        if size > self.left:
-            raise ValueError(f"truncated model file {self.f.name}: wanted "
-                             f"{size} bytes at offset {self.f.tell()}, got "
-                             f"{self.left}")
-        self.left -= size
-        return self.f.read(size)
-
-    def blob(self) -> bytes:
-        (length,) = struct.unpack("<Q", self.exact(8))
-        return self.exact(length)
-
-    def json(self):
-        return json.loads(self.blob().decode())
-
-    def array(self, copy: bool = True) -> np.ndarray:
-        """The next array; without `copy`, a read-only view of the file's
-        bytes."""
-        header = self.json()
-        array = np.frombuffer(self.blob(), dtype=np.dtype(header["dtype"]))
-        array = array.reshape(header["shape"])
-        return array.copy() if copy else array
-
-
-def _layer_meta(ae: nncore.Autoencoder) -> dict:
-    return {
-        "view_index": ae.view_index,
-        "encoder": [layer.activation for layer in ae.encoder],
-        "decoder": [layer.activation for layer in ae.decoder],
-    }
-
-
-def save_model(state: ModelState, path) -> None:
-    cfg = state.config
-    meta = {
-        "config": {
-            "k": cfg.k, "e1": cfg.e1, "e2": cfg.e2,
-            "max_depth": cfg.max_depth, "min_num": cfg.min_num,
-            "lam": cfg.lam, "lr": cfg.lr, "seed": cfg.seed,
-            "outer_cycles": cfg.outer_cycles, "standardize": cfg.standardize,
-        },
-        "view_dims": list(state.view_dims),
-        "has_standardizer": state.standardizer is not None,
-        "converged": state.converged,
-        "cycles_run": state.cycles_run,
-        "autoencoders": [_layer_meta(ae) for ae in state.autoencoders],
-        "tree": tree_to_doc(state.tree, state.view_offsets),
-    }
+def save_model(model: ServedModel, path) -> None:
+    """Write what serving reads of `model`, a fitted ModelState or a loaded
+    ServedModel: the header, then one JSON payload."""
+    standardizer = model.standardizer
+    if standardizer is not None:
+        standardizer = [[mean.tolist(), std.tolist()]
+                        for mean, std in standardizer]
+    payload = json.dumps({
+        "config": asdict(model.config),
+        "view_dims": list(model.view_dims),
+        "standardizer": standardizer,
+        "converged": model.converged,
+        "cycles_run": model.cycles_run,
+        "tree": tree_to_doc(model.tree, model.view_offsets),
+    }, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<I", MODEL_VERSION))
-        _write_json(f, meta)
-        if state.standardizer is not None:
-            for mean, std in state.standardizer:
-                _write_array(f, mean)
-                _write_array(f, std)
-        for ae in state.autoencoders:
-            for layer in (*ae.encoder, *ae.decoder):
-                _write_array(f, layer.w)
-                _write_array(f, layer.b)
-        for centers in state.centers:
-            _write_array(f, centers)
-        _write_array(f, state.labels.hard)
-        _write_array(f, state.kmeans_labels)
+        f.write(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION,
+                             hashlib.sha256(payload).digest(), len(payload)))
+        f.write(payload)
 
 
 # the metadata fields load_model reads, with their JSON types
 _META_FIELDS = {
     "config": (dict, "object"),
     "view_dims": (list, "array"),
-    "has_standardizer": (bool, "boolean"),
+    "standardizer": ((list, type(None)), "array or null"),
     "converged": (bool, "boolean"),
     "cycles_run": (int, "integer"),
-    "autoencoders": (list, "array"),
     "tree": (dict, "object"),
 }
 
 
 def _damaged(path, what: str) -> ValueError:
     return ValueError(f"damaged model file {path}: metadata {what}")
+
+
+def _truncated(path, wanted: int, offset: int, got: int) -> ValueError:
+    return ValueError(f"truncated model file {path}: wanted {wanted} bytes "
+                      f"at offset {offset}, got {got}")
 
 
 def _check_meta(meta, path) -> None:
@@ -425,57 +370,70 @@ def _check_meta(meta, path) -> None:
                              "integers")
 
 
-def load_model(path) -> ModelState:
+def _read_payload(path) -> bytes:
+    """The payload of a model file, after its header, length and checksum
+    are checked; no read is asked for more bytes than the file holds."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MODEL_MAGIC:
+        head = f.read(_HEADER.size)
+        if head[:4] != MODEL_MAGIC:
             raise ValueError(f"{path} is not a model file")
-        read = _ModelReader(f)
-        (version,) = struct.unpack("<I", read.exact(4))
+        if len(head) < 8:
+            raise _truncated(path, 4, 4, len(head) - 4)
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version == 1:
+            raise ValueError(f"model file {path} is version 1, which is no "
+                             f"longer read: fit the model again")
         if version != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {version}")
-        meta = read.json()
-        _check_meta(meta, path)
+            raise ValueError(f"model file {path} has unsupported version "
+                             f"{version}")
+        if len(head) < _HEADER.size:
+            raise _truncated(path, _HEADER.size - 8, 8, len(head) - 8)
+        _, _, digest, length = _HEADER.unpack(head)
+        left = os.fstat(f.fileno()).st_size - _HEADER.size
+        if length > left:
+            raise _truncated(path, length, _HEADER.size, left)
+        if length < left:
+            raise ValueError(f"damaged model file {path}: {left - length} "
+                             f"bytes past the payload")
+        payload = f.read(length)
+    if hashlib.sha256(payload).digest() != digest:
+        raise ValueError(f"damaged model file {path}: the payload does not "
+                         f"match its checksum")
+    return payload
+
+
+def load_model(path) -> ServedModel:
+    """The served model in a model file; a damaged file raises a
+    ValueError that names it."""
+    payload = _read_payload(path)
+    try:
+        meta = json.loads(payload)
+    except ValueError:                  # not UTF-8, or not JSON
+        raise _damaged(path, "is not JSON") from None
+    _check_meta(meta, path)
+    try:
+        cfg = PipelineConfig(**meta["config"])
+    except TypeError as exc:        # a key PipelineConfig lacks or needs
+        raise _damaged(path, f"field 'config' is malformed: {exc}") from None
+    view_dims = meta["view_dims"]
+    standardizer = meta["standardizer"]
+    if standardizer is not None:
         try:
-            cfg = PipelineConfig(**meta["config"])
-        except TypeError as exc:        # a key PipelineConfig lacks or needs
-            raise _damaged(path, f"field 'config' is malformed: {exc}") from None
-        view_dims = meta["view_dims"]
-        standardizer = None
-        if meta["has_standardizer"]:
-            standardizer = [(read.array(), read.array()) for _ in view_dims]
-        autoencoders = []
-        for ae_meta in meta["autoencoders"]:
-            # Autoencoder copies its layers into one parameter vector, so
-            # they are read without a copy of their own
-            encoder = [
-                nncore.DenseLayer(read.array(copy=False),
-                                  read.array(copy=False), act)
-                for act in ae_meta["encoder"]
-            ]
-            decoder = [
-                nncore.DenseLayer(read.array(copy=False),
-                                  read.array(copy=False), act)
-                for act in ae_meta["decoder"]
-            ]
-            autoencoders.append(nncore.Autoencoder(
-                encoder, decoder, view_index=ae_meta["view_index"]))
-        centers = [read.array() for _ in view_dims]
-        hard = read.array()
-        kmeans_labels = read.array()
-    tree = doc_to_tree(meta["tree"])
-    if tree.feature_dim != sum(view_dims):
-        raise ValueError(f"tree has {tree.feature_dim} features, the views "
-                         f"{sum(view_dims)}")
-    return ModelState(
-        config=cfg,
-        autoencoders=autoencoders,
-        centers=centers,
-        tree=tree,
-        labels=LabelSet.from_hard(hard, cfg.k),
-        kmeans_labels=kmeans_labels,
-        view_dims=view_dims,
-        standardizer=standardizer,
-        converged=meta["converged"],
-        cycles_run=meta["cycles_run"],
-    )
+            pairs = [np.array(pair, dtype=np.float64) for pair in standardizer]
+        except (TypeError, ValueError):
+            pairs = []
+        if [pair.shape for pair in pairs] != [(2, dim) for dim in view_dims]:
+            raise _damaged(path, "field 'standardizer' does not hold a mean "
+                                 "and a std per view feature")
+        standardizer = [(mean, std) for mean, std in pairs]
+    try:
+        tree = doc_to_tree(meta["tree"])
+        if tree.feature_dim != sum(view_dims):
+            raise ValueError(f"tree has {tree.feature_dim} features, the "
+                             f"views {sum(view_dims)}")
+    except ValueError as exc:
+        raise ValueError(f"damaged model file {path}: {exc}") from None
+    return ServedModel(config=cfg, tree=tree, view_dims=view_dims,
+                       standardizer=standardizer,
+                       converged=meta["converged"],
+                       cycles_run=meta["cycles_run"])

@@ -79,16 +79,13 @@ class LabelSet:
 
 
 @dataclass
-class ModelState:
+class ServedModel:
+    """What `predict`, `explain` and a model file hold: the tree and how
+    the views are prepared for it."""
     config: PipelineConfig
-    autoencoders: list[nncore.Autoencoder]
-    centers: list[np.ndarray]                 # per view, (k, embed_dim)
     tree: dtree.DecisionTree
-    labels: LabelSet                          # tree outputs on training data
-    kmeans_labels: np.ndarray                 # latest pseudo-labels
     view_dims: list[int]
     standardizer: list[tuple[np.ndarray, np.ndarray]] | None = None
-    loss_history: dict[str, list] = field(default_factory=dict)
     converged: bool = False
     cycles_run: int = 0
 
@@ -105,6 +102,16 @@ class ModelState:
     def predict(self, views: list[np.ndarray]) -> np.ndarray:
         """Cluster of every row: the tree routes the views in place."""
         return self.tree.predict_views(self.preprocess(views))
+
+
+@dataclass(kw_only=True)
+class ModelState(ServedModel):
+    """The served model plus the training state `fit` leaves behind."""
+    autoencoders: list[nncore.Autoencoder]
+    centers: list[np.ndarray]                 # per view, (k, embed_dim)
+    labels: LabelSet                          # tree outputs on training data
+    kmeans_labels: np.ndarray                 # latest pseudo-labels
+    loss_history: dict[str, list] = field(default_factory=dict)
 
 
 def _check_views(views: list[np.ndarray],
@@ -346,7 +353,7 @@ def fit(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     Runs at most `config.outer_cycles` cycles and stops early once the
     partition stops changing, with k-means ids aligned to the tree's, so
     an unchanged partition gives identical hard labels. The cycles train
-    on the views as `ModelState.preprocess` prepares them for serving.
+    on the views as `ServedModel.preprocess` prepares them for serving.
     """
     state = initialize(views, config)
     views = state.preprocess(views)
@@ -371,7 +378,7 @@ class ExplanationStep:
     went_left: bool
 
 
-def explain(state: ModelState, x_views: list[np.ndarray]) -> tuple[list[ExplanationStep], int]:
+def explain(state: ServedModel, x_views: list[np.ndarray]) -> tuple[list[ExplanationStep], int]:
     """Root-to-leaf decision path for one instance, with view attribution.
 
     `x_views` holds one row per view, as a 1-D array or a (1, d) view.

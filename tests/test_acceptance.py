@@ -21,6 +21,7 @@ from imvc.tao import compute_reach, tao_pass
 
 from test_nncore import max_rel_error, numeric_gradients
 from test_tao import misclassification, toy_three_label_instance
+from test_training import training_digest
 
 
 def report(num, detail=""):
@@ -230,11 +231,21 @@ def test_criterion_8_tree_fidelity_gap(end_to_end_runs):
     report(8, f"mean gaps {means}")
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, monkeypatch):
     ds = tmp_path / "ds"
     assert cli_main(["synth", "--k", "2", "--views", "2", "--n", "10",
                      "--dims", "4", "--noise", "0.5", "--seed", "5",
                      "--out", str(ds)]) == 0
+    # the model file holds only the served tree, so the training state of
+    # each of the CLI's fits is compared through its digest
+    states = []
+    real_fit = pipeline.fit
+
+    def recording_fit(views, config):
+        states.append(real_fit(views, config))
+        return states[-1]
+
+    monkeypatch.setattr(pipeline, "fit", recording_fit)
     paths = []
     for name in ("a.bin", "b.bin"):
         out = tmp_path / name
@@ -244,7 +255,11 @@ def test_criterion_9_determinism(tmp_path):
         paths.append(out)
     a, b = (p.read_bytes() for p in paths)
     assert a == b
-    report(9, f"model files byte-identical ({len(a)} bytes)")
+    assert len(states) == 2
+    digest_a, digest_b = (training_digest(state) for state in states)
+    assert digest_a == digest_b
+    report(9, f"model files byte-identical ({len(a)} bytes), training "
+              f"digest {digest_a[:12]}")
 
 
 def test_criterion_10_kmeans_properties():

@@ -1,11 +1,14 @@
 import json
-import struct
 
 import numpy as np
 import pytest
 
 from imvc import data as dataio
+from imvc import pipeline
 from imvc.cli import main
+from imvc.pipeline import PipelineConfig
+
+from test_data import model_file
 
 
 @pytest.fixture(scope="module")
@@ -52,15 +55,18 @@ class TestEval:
 
 
 class TestFitPredict:
-    def test_predict_reproduces_stored_labels(self, dataset_dir, model_path,
-                                              tmp_path):
+    def test_predict_reproduces_training_labels(self, dataset_dir,
+                                                model_path, tmp_path):
         out = tmp_path / "labels.csv"
         rc = main(["predict", str(model_path),
                    str(dataset_dir / "manifest.json"), "--out", str(out)])
         assert rc == 0
         predicted = dataio.load_labels(out)
-        model = dataio.load_model(model_path)
-        np.testing.assert_array_equal(predicted, model.labels.hard)
+        # the model file holds no labels: fit again as model_path's fit did
+        views, _, _ = dataio.load_dataset(dataset_dir / "manifest.json")
+        state = pipeline.fit(views, PipelineConfig(k=2, e1=5, e2=5, min_num=3,
+                                                   outer_cycles=1, seed=3))
+        np.testing.assert_array_equal(predicted, state.labels.hard)
 
     def test_missing_model_fails_cleanly(self, dataset_dir, capsys):
         rc = main(["predict", "/nonexistent/model.bin",
@@ -95,14 +101,10 @@ class TestExportTree:
         ({}, "field 'config' is missing"),
         ([1, 2], "is not a JSON object"),
     ], ids=["empty-object", "array"])
-    def test_damaged_metadata_fails_cleanly(self, model_path, tmp_path,
-                                            capsys, meta, message):
-        blob = model_path.read_bytes()
-        (length,) = struct.unpack_from("<Q", blob, 8)
-        raw = json.dumps(meta).encode()
+    def test_damaged_metadata_fails_cleanly(self, tmp_path, capsys, meta,
+                                            message):
         bad = tmp_path / "bad.imvc"
-        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
-                        + blob[16 + length:])
+        bad.write_bytes(model_file(json.dumps(meta).encode()))
         rc = main(["export-tree", str(bad)])
         assert rc == 1
         err = capsys.readouterr().err

@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +189,47 @@ class TestTreeExport:
         assert feature_attribution(76, [0, 76]) == (1, 0)
 
 
+def model_file(payload: bytes) -> bytes:
+    """A version 2 model file holding `payload`: magic, version, the
+    payload's sha256 and length, then the payload."""
+    return (b"IMVC" + struct.pack("<I", 2) + hashlib.sha256(payload).digest()
+            + struct.pack("<Q", len(payload)) + payload)
+
+
+# loads every truncation of a model file and `flips` seeded single-bit
+# flips of it under a capped address space; prints what did not raise a
+# ValueError naming the damaged file
+FUZZ = """
+import json, resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import numpy as np
+from imvc import data
+src, bad, seed, flips = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+data.load_model(src)
+blob = open(src, "rb").read()
+cases = [("cut", size) for size in range(len(blob))]
+cases += [("flip", int(bit)) for bit in
+          np.random.default_rng(seed).integers(8 * len(blob), size=flips)]
+failures = []
+for kind, at in cases:
+    damaged = bytearray(blob[:at] if kind == "cut" else blob)
+    if kind == "flip":
+        damaged[at // 8] ^= 1 << (at % 8)
+    with open(bad, "wb") as f:
+        f.write(damaged)
+    try:
+        data.load_model(bad)
+        failures.append(f"{kind} {at}: loaded")
+    except ValueError as exc:
+        if bad not in str(exc):
+            failures.append(f"{kind} {at}: {exc}")
+    except Exception as exc:
+        failures.append(f"{kind} {at}: {type(exc).__name__}: {exc}")
+print(json.dumps({"cases": len(cases), "failures": failures}))
+"""
+
+
 class TestModelSerialization:
     @pytest.fixture()
     def state(self):
@@ -199,8 +245,11 @@ class TestModelSerialization:
         restored = dataio.load_model(path)
         np.testing.assert_array_equal(restored.predict(views),
                                       model.predict(views))
-        np.testing.assert_array_equal(restored.labels.hard, model.labels.hard)
+        np.testing.assert_array_equal(restored.predict(views),
+                                      model.labels.hard)
         assert restored.config == model.config
+        for got, want in zip(restored.standardizer, model.standardizer):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_save_is_deterministic(self, tmp_path, state):
         model, _ = state
@@ -214,52 +263,91 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="not a model file"):
             dataio.load_model(path)
 
+    def test_version_1_file_rejected(self, tmp_path):
+        path = tmp_path / "old.imvc"
+        path.write_bytes(b"IMVC" + struct.pack("<I", 1))
+        with pytest.raises(ValueError, match="model file .*old.imvc is "
+                                             "version 1, which is no longer "
+                                             "read"):
+            dataio.load_model(path)
+
     def test_truncated_file_rejected(self, tmp_path, state):
         model, _ = state
         path = tmp_path / "model.bin"
         dataio.save_model(model, path)
         blob = path.read_bytes()
         cut_path = tmp_path / "cut.bin"
-        # inside the version, the meta length, the meta JSON, an array
-        # header and the final payload
+        # inside the version, the checksum, and three inside the payload
         for size in (6, 10, 300, len(blob) // 2, len(blob) - 1):
             cut_path.write_bytes(blob[:size])
             with pytest.raises(ValueError, match="truncated model file"):
                 dataio.load_model(cut_path)
 
-    @pytest.mark.parametrize("blob, length", [
-        ("metadata", 2**63), ("metadata", 2**40), ("array", 2**62),
-    ], ids=["metadata-2^63", "metadata-2^40", "array-2^62"])
-    def test_length_prefix_past_the_end_rejected(self, tmp_path, state, blob,
+    @pytest.mark.parametrize("length", [2**63, 2**40],
+                             ids=["metadata-2^63", "metadata-2^40"])
+    def test_length_prefix_past_the_end_rejected(self, tmp_path, state,
                                                  length):
         model, _ = state
         path = tmp_path / "model.bin"
         dataio.save_model(model, path)
         raw = bytearray(path.read_bytes())
-        (meta_length,) = struct.unpack_from("<Q", raw, 8)
-        at = 8                                  # the metadata's prefix
-        if blob == "array":
-            # past the metadata and the first array's header
-            header = 16 + meta_length
-            (header_length,) = struct.unpack_from("<Q", raw, header)
-            at = header + 8 + header_length
-        struct.pack_into("<Q", raw, at, length)
+        struct.pack_into("<Q", raw, 40, length)     # the payload's length
         bad = tmp_path / "bad.imvc"
         bad.write_bytes(raw)
         with pytest.raises(ValueError,
                            match=f"truncated model file .*bad.imvc: wanted "
-                                 f"{length} bytes at offset {at + 8}"):
+                                 f"{length} bytes at offset 48"):
             dataio.load_model(bad)
+
+    def test_bytes_past_the_payload_rejected(self, tmp_path, state):
+        model, _ = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        bad = tmp_path / "bad.imvc"
+        bad.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(ValueError, match="damaged model file .*bad.imvc: "
+                                             "1 bytes past the payload"):
+            dataio.load_model(bad)
+
+    def test_flipped_threshold_rejected(self, tmp_path, state):
+        model, _ = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        raw = path.read_bytes()
+        at = raw.index(b'"split_value":') + len(b'"split_value":') + 1
+        bad = tmp_path / "bad.imvc"
+        bad.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:])
+        with pytest.raises(ValueError, match="damaged model file .*bad.imvc: "
+                                             "the payload does not match its "
+                                             "checksum"):
+            dataio.load_model(bad)
+
+    def test_every_cut_and_bit_flip_rejected(self, tmp_path, state):
+        model, _ = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        size = path.stat().st_size
+        src = str(Path(dataio.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run(
+            [sys.executable, "-c", FUZZ, str(path), str(tmp_path / "bad.imvc"),
+             "12", "3000"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["cases"] == size + 3000
+        assert result["failures"] == []
 
     @staticmethod
     def edit_meta(src, dst, edit):
-        """Copy a model file with its metadata replaced by `edit(meta)`."""
-        blob = src.read_bytes()
-        (length,) = struct.unpack_from("<Q", blob, 8)
-        meta = edit(json.loads(blob[16:16 + length]))
+        """Copy a model file with its payload replaced by `edit(meta)` and
+        signed again."""
+        meta = edit(json.loads(src.read_bytes()[48:]))
         raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-        dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
-                        + blob[16 + length:])
+        dst.write_bytes(model_file(raw))
 
     @classmethod
     def edit_tree(cls, src, dst, edit):
@@ -280,8 +368,17 @@ class TestModelSerialization:
          "field 'config' is malformed: .*depth"),
         (lambda meta: dict(meta, view_dims=["3", 3]),
          "field 'view_dims' is not a list of positive integers"),
+        (lambda meta: dict(meta, standardizer=meta["standardizer"][:1]),
+         "field 'standardizer' does not hold a mean and a std per view "
+         "feature"),
+        (lambda meta: dict(meta, standardizer=[["a", "b"]] * 2),
+         "field 'standardizer' does not hold a mean and a std per view "
+         "feature"),
+        (lambda meta: dict(meta, standardizer=5),
+         "field 'standardizer' is not a JSON array or null"),
     ], ids=["empty-object", "array", "no-tree", "converged-string",
-            "config-unknown-key", "view-dims-strings"])
+            "config-unknown-key", "view-dims-strings", "standardizer-short",
+            "standardizer-strings", "standardizer-number"])
     def test_damaged_metadata_rejected_at_load(self, tmp_path, state, edit,
                                                message):
         model, _ = state
@@ -315,12 +412,46 @@ class TestModelSerialization:
                     rec[field] = value
 
         self.edit_tree(path, tmp_path / "same.bin", lambda doc: None)
+        assert (tmp_path / "same.bin").read_bytes() == path.read_bytes()
         np.testing.assert_array_equal(
             dataio.load_model(tmp_path / "same.bin").predict(views),
             model.predict(views))
         self.edit_tree(path, tmp_path / "damaged.bin", edit)
-        with pytest.raises(ValueError, match=f"tree node {internal} {message}"):
+        with pytest.raises(ValueError, match=f"damaged model file "
+                                             f".*damaged.bin: tree node "
+                                             f"{internal} {message}"):
             dataio.load_model(tmp_path / "damaged.bin")
+
+    @pytest.mark.parametrize("field", ["id", "kind", "depth", "split_feature",
+                                       "split_value", "label", "left", "right",
+                                       "count"])
+    def test_tree_node_lacking_a_field_rejected(self, tmp_path, state, field):
+        model, _ = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        node = model.tree.root
+        where = f"#{node}" if field == "id" else node    # the record's index
+
+        def edit(doc):
+            del doc["nodes"][node][field]
+
+        self.edit_tree(path, tmp_path / "bad.imvc", edit)
+        with pytest.raises(ValueError, match=f"damaged model file .*bad.imvc: "
+                                             f"tree node {where} lacks field "
+                                             f"'{field}'"):
+            dataio.load_model(tmp_path / "bad.imvc")
+
+    @pytest.mark.parametrize("field", ["k", "feature_dim", "root", "nodes"])
+    def test_tree_document_lacking_a_field_rejected(self, tmp_path, state,
+                                                    field):
+        model, _ = state
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        self.edit_tree(path, tmp_path / "bad.imvc", lambda doc: doc.pop(field))
+        with pytest.raises(ValueError, match=f"damaged model file .*bad.imvc: "
+                                             f"tree document lacks field "
+                                             f"'{field}'"):
+            dataio.load_model(tmp_path / "bad.imvc")
 
     def test_tree_wider_than_the_views_rejected_at_load(self, tmp_path, state):
         model, _ = state

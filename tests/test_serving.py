@@ -1,4 +1,4 @@
-"""The read path: `ModelState.predict` routes the views in place.
+"""The read path: `ServedModel.predict` routes the views in place.
 
 The oracle is the concatenated route: the views side by side in one
 matrix, walked row by row with `x[feature] <= threshold`.
@@ -12,19 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imvc.dtree import INTERNAL, LEAF, DecisionTree, TreeNode, build_tree
-from imvc.pipeline import LabelSet, ModelState, PipelineConfig
+from imvc.pipeline import PipelineConfig, ServedModel
 
 THRESHOLDS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
 
 
 def serving_model(tree, view_dims, standardizer=None):
-    """A ModelState holding only what `predict` reads."""
-    empty = np.zeros(0, dtype=np.int64)
-    return ModelState(config=PipelineConfig(k=tree.k), autoencoders=[],
-                      centers=[], tree=tree,
-                      labels=LabelSet.from_hard(empty, tree.k),
-                      kmeans_labels=empty, view_dims=list(view_dims),
-                      standardizer=standardizer)
+    """The served model of `tree` over views of widths `view_dims`."""
+    return ServedModel(config=PipelineConfig(k=tree.k), tree=tree,
+                       view_dims=list(view_dims), standardizer=standardizer)
 
 
 def reference_labels(tree, X, start):

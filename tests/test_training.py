@@ -8,6 +8,7 @@ for bit.
 """
 
 import copy
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,17 @@ def train_view(ae, X, epochs, lr, yind=None, centers=None, lam=0.0):
                                                 nncore.WorkspacePool(),
                                                 yind=yind, centers=centers,
                                                 lam=lam)], 1)[0]
+
+
+def training_digest(state):
+    """sha256 of what a fit trained beyond the model file: each view's
+    autoencoder parameters and centers, and the latest k-means labels."""
+    digest = hashlib.sha256()
+    for array in (*(ae.flat_params for ae in state.autoencoders),
+                  *state.centers, state.kmeans_labels):
+        digest.update(f"{array.dtype}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def reference_loss_and_grads(ae, X, yind=None, centers=None, lam=0.0):
