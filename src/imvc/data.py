@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import operator
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dtree import INTERNAL, DecisionTree, TreeNode, feature_attribution
+from .dtree import HOLE, DecisionTree, feature_attribution
 from .pipeline import PipelineConfig, ServedModel
 
 MODEL_MAGIC = b"IMVC"
@@ -216,20 +218,32 @@ def write_dataset(out_dir, views, truth=None, name: str = "synthetic") -> Path:
 # ---------------------------------------------------------------------------
 # tree export
 
+# a node record's fields, in the order a missing one is looked for
+_node_fields = operator.itemgetter("id", "kind", "depth", "split_feature",
+                                   "split_value", "label", "left", "right",
+                                   "count")
+# The tree's arrays are indexed by node id, so a document naming an id
+# past this is rejected rather than allocated. build_tree numbers fewer
+# than 2n nodes for n rows, so a model fit on fewer than 2**19 rows loads.
+_NODE_ID_END = 1 << 20
+_INT64_END = 1 << 63
+
+
 def tree_to_doc(tree: DecisionTree, view_offsets: list[int]) -> dict:
     nodes = []
-    for node_id in sorted(tree.nodes):
-        node = tree.nodes[node_id]
+    for node_id in tree.ids():
+        feature = tree.feature[node_id]
+        internal = feature >= 0
         nodes.append({
-            "id": node.id,
-            "kind": node.kind,
-            "depth": node.depth,
-            "split_feature": node.split_feature,
-            "split_value": node.split_value,
-            "label": node.label,
-            "left": node.left,
-            "right": node.right,
-            "count": node.count,
+            "id": node_id,
+            "kind": "internal" if internal else "leaf",
+            "depth": tree.depth[node_id],
+            "split_feature": feature if internal else None,
+            "split_value": tree.threshold[node_id] if internal else None,
+            "label": None if internal else tree.label[node_id],
+            "left": tree.left[node_id] if internal else None,
+            "right": tree.right[node_id] if internal else None,
+            "count": tree.count[node_id],
         })
     return {
         "schema_version": TREE_SCHEMA_VERSION,
@@ -241,9 +255,87 @@ def tree_to_doc(tree: DecisionTree, view_offsets: list[int]) -> dict:
     }
 
 
+def _bad_node(node_id: int, field: str, what: str) -> ValueError:
+    return ValueError(f"tree node {node_id} field {field!r} {what}")
+
+
+def _finite(value) -> float | None:
+    """value as a float when it is a finite JSON number, else None."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:               # an integer past the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _records_by_id(records: list) -> dict[int, tuple]:
+    """Each node record's fields by its id. A record that is not an object
+    or lacks a field, or an id that is not a unique integer in
+    [0, _NODE_ID_END), is rejected, naming the record."""
+    by_id = {}
+    for i, rec in enumerate(records):
+        try:
+            fields = _node_fields(rec)
+        except TypeError:
+            raise ValueError(f"tree node #{i} is not an object") from None
+        except KeyError as exc:
+            raise ValueError(f"tree node {rec.get('id', f'#{i}')} lacks "
+                             f"field {exc}") from None
+        node_id = fields[0]
+        if type(node_id) is not int or not 0 <= node_id < _NODE_ID_END:
+            raise ValueError(f"tree node #{i} field 'id' is not an integer "
+                             f"in [0, {_NODE_ID_END})")
+        if node_id in by_id:
+            raise _bad_node(node_id, "id", "is a duplicate")
+        by_id[node_id] = fields
+    return by_id
+
+
+def _node_row(fields: tuple, depth: int, k: int, feature_dim: int,
+              by_id: dict) -> tuple:
+    """The row (feature, threshold, left, right, label, count, depth) of a
+    node record's `fields`, which the walk from the root reaches at
+    `depth`. A JSON integer is a Python int, and a boolean is not one."""
+    node_id, kind, rec_depth, feature, threshold, label, left, right, \
+        count = fields
+    if rec_depth != depth or type(rec_depth) is not int:
+        raise _bad_node(node_id, "depth", f"is {rec_depth!r}, but the node "
+                                          f"is {depth} below the root")
+    if type(count) is not int or not 0 <= count < _INT64_END:
+        raise _bad_node(node_id, "count", "is not an integer in [0, 2**63)")
+    if kind == "leaf":
+        if type(label) is not int or not 0 <= label < k:
+            raise _bad_node(node_id, "label", f"is not an integer in [0, {k})")
+        return -1, 0.0, -1, -1, label, count, depth
+    if kind != "internal":
+        raise _bad_node(node_id, "kind", 'is not "internal" or "leaf"')
+    if type(feature) is not int:
+        raise _bad_node(node_id, "split_feature", "is not an integer")
+    if not 0 <= feature < feature_dim:
+        raise ValueError(f"tree node {node_id} splits on feature {feature}, "
+                         f"outside [0, {feature_dim})")
+    threshold = _finite(threshold)
+    if threshold is None:
+        raise _bad_node(node_id, "split_value", "is not a finite number")
+    for field, child in (("left", left), ("right", right)):
+        if type(child) is not int or child not in by_id:
+            raise ValueError(f"tree node {node_id} has a missing child "
+                             f"{child!r} in field {field!r}")
+    return feature, threshold, left, right, -1, count, depth
+
+
 def doc_to_tree(doc: dict) -> DecisionTree:
-    """The tree a document describes. A missing field, a split on a feature
-    outside [0, feature_dim), or a missing root or child, is rejected."""
+    """The tree a document describes, each field checked as it is read.
+
+    A ValueError names the node and field at fault: a missing field or
+    one of the wrong JSON type, a kind other than "internal" or "leaf", a
+    split on a feature outside [0, feature_dim), a leaf label outside
+    [0, k), a depth other than the node's, a child that is not a node, a
+    duplicate id, or a node that the walk from the root reaches twice
+    (a cycle or a shared child) or never.
+    """
     if doc.get("schema_version") != TREE_SCHEMA_VERSION:
         raise ValueError(f"unsupported tree schema: {doc.get('schema_version')}")
     try:
@@ -251,32 +343,31 @@ def doc_to_tree(doc: dict) -> DecisionTree:
         records = doc["nodes"]
     except KeyError as exc:
         raise ValueError(f"tree document lacks field {exc}") from None
-    nodes = {}
-    for i, rec in enumerate(records):
-        try:
-            nodes[rec["id"]] = TreeNode(
-                id=rec["id"], kind=rec["kind"], depth=rec["depth"],
-                split_feature=rec["split_feature"],
-                split_value=rec["split_value"], label=rec["label"],
-                left=rec["left"], right=rec["right"], count=rec["count"],
-            )
-        except KeyError as exc:
-            node = rec.get("id", f"#{i}")
-            raise ValueError(f"tree node {node} lacks field {exc}") from None
-    if root not in nodes:
+    for name, value in (("k", k), ("feature_dim", feature_dim), ("root", root)):
+        if type(value) is not int or not 0 <= value < _INT64_END:
+            raise ValueError(f"tree field {name!r} is not an integer in "
+                             f"[0, 2**63)")
+    if not isinstance(records, list):
+        raise ValueError("tree field 'nodes' is not an array")
+    by_id = _records_by_id(records)
+    if root not in by_id:
         raise ValueError(f"tree root {root} is not a node")
-    for node in nodes.values():
-        if node.kind != INTERNAL or (
-                type(node.split_feature) is int
-                and 0 <= node.split_feature < feature_dim
-                and node.left in nodes and node.right in nodes):
-            continue
-        for child in (node.left, node.right):
-            if child not in nodes:
-                raise ValueError(f"tree node {node.id} has a missing child {child}")
-        raise ValueError(f"tree node {node.id} splits on feature "
-                         f"{node.split_feature}, outside [0, {feature_dim})")
-    return DecisionTree(nodes=nodes, root=root, k=k, feature_dim=feature_dim)
+    rows = [HOLE] * (max(by_id) + 1)
+    stack = [(root, 0)]
+    while stack:
+        node_id, depth = stack.pop()
+        if rows[node_id] is not HOLE:
+            raise ValueError(f"tree node {node_id} is reached twice from "
+                             f"the root")
+        row = rows[node_id] = _node_row(by_id[node_id], depth, k,
+                                        feature_dim, by_id)
+        if row[0] >= 0:
+            stack += ((row[2], depth + 1), (row[3], depth + 1))
+    if len(rows) - rows.count(HOLE) < len(by_id):
+        unreached = min(i for i in by_id if rows[i] is HOLE)
+        raise ValueError(f"tree node {unreached} is not reached from the "
+                         f"root")
+    return DecisionTree(rows, root=root, k=k, feature_dim=feature_dim)
 
 
 def export_tree(tree: DecisionTree, view_offsets: list[int],
@@ -288,21 +379,20 @@ def export_tree(tree: DecisionTree, view_offsets: list[int],
     if fmt != "dot":
         raise ValueError(f"unknown export format {fmt!r}")
     lines = ["digraph tree {", "  node [shape=box];"]
-    for node_id in sorted(tree.nodes):
-        node = tree.nodes[node_id]
-        if node.kind == INTERNAL:
-            view, local = feature_attribution(node.split_feature, view_offsets)
-            label = f"V{view + 1}[{local}] ≤ {node.split_value:.6g}"
+    edges = []
+    for node_id in tree.ids():
+        feature = tree.feature[node_id]
+        if feature >= 0:
+            view, local = feature_attribution(feature, view_offsets)
+            threshold = tree.threshold[node_id]
+            label = f"V{view + 1}[{local}] ≤ {threshold:.6g}"
+            edges += [f"  n{node_id} -> n{tree.left[node_id]};",
+                      f"  n{node_id} -> n{tree.right[node_id]};"]
         else:
-            label = f"cluster {node.label}"
-            if node.count is not None:
-                label += f"\\n(n={node.count})"
+            label = (f"cluster {tree.label[node_id]}"
+                     f"\\n(n={tree.count[node_id]})")
         lines.append(f'  n{node_id} [label="{label}"];')
-    for node_id in sorted(tree.nodes):
-        node = tree.nodes[node_id]
-        if node.kind == INTERNAL:
-            lines.append(f"  n{node_id} -> n{node.left};")
-            lines.append(f"  n{node_id} -> n{node.right};")
+    lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -21,61 +21,73 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-INTERNAL = "internal"
-LEAF = "leaf"
 
-
-@dataclass
-class TreeNode:
-    id: int
-    kind: str                    # "internal" or "leaf"
-    depth: int
-    split_feature: int | None = None
-    split_value: float | None = None
-    label: int | None = None
-    left: int | None = None
-    right: int | None = None
-    count: int | None = None     # training instances reaching this node
+# the row of an id that pruning spliced out
+HOLE = (-1, 0.0, -1, -1, -1, 0, -1)
 
 
 class DecisionTree:
-    """Binary threshold tree routing with x[sf] <= sv going left.
+    """Binary threshold tree routing with x[feature] <= threshold going
+    left, held as parallel arrays indexed by node id, as in scikit-learn's
+    `Tree`. They are `array.array`s of int64 (code "q"), and of float64
+    ("d") for `threshold`: every read of them is of one node, which an
+    `array.array` builds and indexes without numpy's per-call cost.
+
+    At an internal node `feature` is the split feature, `threshold` its
+    value and `left`, `right` the children; `label` is -1. At a leaf
+    `feature`, `left` and `right` are -1 and `label` is its cluster in
+    [0, k). `count` is the training rows reaching a node and `depth` its
+    depth. An id that pruning splices out stays as a hole, with depth -1;
+    `ids()` lists the others.
 
     `path` and `route` are the only walks that route rows; every other
     traversal of instances through the tree is built on them.
     """
 
-    def __init__(self, nodes: dict[int, TreeNode], root: int, k: int,
+    def __init__(self, rows: Sequence[Sequence], root: int, k: int,
                  feature_dim: int):
-        self.nodes = nodes
+        """`rows[i]` is node i's (feature, threshold, left, right, label,
+        count, depth), or `HOLE`."""
+        feature, threshold, left, right, label, count, depth = zip(*rows)
+        self.feature = array("q", feature)
+        self.threshold = array("d", threshold)
+        self.left = array("q", left)
+        self.right = array("q", right)
+        self.label = array("q", label)
+        self.count = array("q", count)
+        self.depth = array("q", depth)
         self.root = root
         self.k = k
         self.feature_dim = feature_dim
 
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
+    def ids(self) -> list[int]:
+        """The ids of the tree's nodes, ascending, holes left out."""
+        return [i for i, depth in enumerate(self.depth) if depth >= 0]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.ids())
 
     def max_depth(self) -> int:
-        return max(n.depth for n in self.nodes.values())
+        return max(self.depth)
 
     def path(self, x: np.ndarray, start: int | None = None) -> Iterator[int]:
         """Node ids one row visits, from `start` (default: the root) to a leaf."""
         node_id = self.root if start is None else start
         while True:
             yield node_id
-            node = self.nodes[node_id]
-            if node.kind != INTERNAL:
+            feature = self.feature[node_id]
+            if feature < 0:
                 return
-            node_id = node.left if x[node.split_feature] <= node.split_value else node.right
+            if x[feature] <= self.threshold[node_id]:
+                node_id = self.left[node_id]
+            else:
+                node_id = self.right[node_id]
 
     def route(self, views,
               start: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
@@ -98,17 +110,17 @@ class DecisionTree:
             if len(rows) == 0:
                 continue
             yield node_id, rows
-            node = self.nodes[node_id]
-            if node.kind == INTERNAL:
-                column = columns.get(node.split_feature)
+            feature = self.feature[node_id]
+            if feature >= 0:
+                column = columns.get(feature)
                 if column is None:
-                    v, c = feature_attribution(node.split_feature, offsets)
-                    column = columns[node.split_feature] = views[v][:, c]
-                go_left = column[rows] <= node.split_value
+                    v, c = feature_attribution(feature, offsets)
+                    column = columns[feature] = views[v][:, c]
+                go_left = column[rows] <= self.threshold[node_id]
                 # several times faster than a boolean index on masks that
                 # switch often
-                stack.append((node.left, rows.compress(go_left)))
-                stack.append((node.right, rows.compress(~go_left)))
+                stack.append((self.left[node_id], rows.compress(go_left)))
+                stack.append((self.right[node_id], rows.compress(~go_left)))
 
     def _layout(self, views: Sequence[np.ndarray]) -> tuple[int, list[int]]:
         """The views' common row count and column offsets."""
@@ -125,16 +137,6 @@ class DecisionTree:
             )
         return n, list(itertools.accumulate(widths[:-1], initial=0))
 
-    def predict(self, x: np.ndarray, start: int | None = None) -> int:
-        """Leaf label of one row, descending from `start` (default: the root)."""
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != self.feature_dim:
-            raise ValueError(
-                f"expected {self.feature_dim} features, got {x.shape[0]}"
-            )
-        *_, leaf = self.path(x, start)
-        return int(self.nodes[leaf].label)
-
     def predict_batch(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
         """Leaf labels of the rows of the (n, feature_dim) matrix X,
         descending from `start`; `route` checks X's shape."""
@@ -146,9 +148,8 @@ class DecisionTree:
         reads them, descending from `start`."""
         out = np.empty(views[0].shape[0], dtype=np.int64)
         for node_id, rows in self.route(views, start):
-            node = self.nodes[node_id]
-            if node.kind == LEAF:
-                out[rows] = node.label
+            if self.feature[node_id] < 0:
+                out[rows] = self.label[node_id]
         return out
 
 
@@ -265,29 +266,25 @@ def build_tree(X: np.ndarray, Y, max_depth: int, min_num: int,
     if k is None:
         k = int(Y.max()) + 1
 
-    nodes: dict[int, TreeNode] = {}
-    counter = [0]
+    rows: list[list] = []           # indexed by node id, filled in preorder
 
     def grow(idx: np.ndarray, depth: int) -> int:
-        node_id = counter[0]
-        counter[0] += 1
+        node_id = len(rows)
         sub_y = Y[idx]
         split = None
         if (len(idx) >= min_num and depth < max_depth
                 and np.unique(sub_y).size > 1):
             split = best_split(X[idx], sub_y)
         if split is None:
-            nodes[node_id] = TreeNode(id=node_id, kind=LEAF, depth=depth,
-                                      label=_majority(sub_y), count=len(idx))
+            rows.append([-1, 0.0, -1, -1, _majority(sub_y), len(idx), depth])
             return node_id
         sf, sv = split
         go_left = X[idx, sf] <= sv
-        node = TreeNode(id=node_id, kind=INTERNAL, depth=depth,
-                        split_feature=sf, split_value=sv, count=len(idx))
-        nodes[node_id] = node
-        node.left = grow(idx[go_left], depth + 1)
-        node.right = grow(idx[~go_left], depth + 1)
+        row = [sf, sv, -1, -1, -1, len(idx), depth]
+        rows.append(row)
+        row[2] = grow(idx[go_left], depth + 1)
+        row[3] = grow(idx[~go_left], depth + 1)
         return node_id
 
     root = grow(np.arange(X.shape[0]), 0)
-    return DecisionTree(nodes=nodes, root=root, k=k, feature_dim=X.shape[1])
+    return DecisionTree(rows, root=root, k=k, feature_dim=X.shape[1])

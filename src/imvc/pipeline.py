@@ -391,13 +391,15 @@ def explain(state: ServedModel, x_views: list[np.ndarray]) -> tuple[list[Explana
             )
     x = np.concatenate(state.preprocess(x_views), axis=1)[0]
     offsets = state.view_offsets
-    ids = list(state.tree.path(x))
+    tree = state.tree
+    ids = list(tree.path(x))
     steps = []
     for node_id, nxt in zip(ids, ids[1:]):
-        node = state.tree.node(node_id)
-        view, local = dtree.feature_attribution(node.split_feature, offsets)
+        feature = tree.feature[node_id]
+        view, local = dtree.feature_attribution(feature, offsets)
         steps.append(ExplanationStep(
-            feature=node.split_feature, view=view, local_feature=local,
-            threshold=float(node.split_value), went_left=nxt == node.left,
+            feature=feature, view=view, local_feature=local,
+            threshold=tree.threshold[node_id],
+            went_left=nxt == tree.left[node_id],
         ))
-    return steps, int(state.tree.node(ids[-1]).label)
+    return steps, tree.label[ids[-1]]

@@ -11,11 +11,12 @@ the outer loop feeds the tree its own predictions until nothing moves.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dtree import INTERNAL, LEAF, DecisionTree, TreeNode, _majority
+from .dtree import DecisionTree, _majority
 
 MAX_SELF_LABEL_ITERATIONS = 50
 
@@ -37,7 +38,7 @@ def compute_reach(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
     Nodes no instance reaches get an empty array.
     """
     X = np.asarray(X, dtype=np.float64)
-    reach = {node_id: np.empty(0, dtype=np.int64) for node_id in tree.nodes}
+    reach = {node_id: np.empty(0, dtype=np.int64) for node_id in tree.ids()}
     reach.update(tree.route(X))
     return reach
 
@@ -45,14 +46,13 @@ def compute_reach(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
 def relabel_leaf(tree: DecisionTree, leaf_id: int, idx: np.ndarray,
                  Y: np.ndarray) -> bool:
     """Majority pseudo-label; ties to the smallest index; empty set is a no-op."""
-    node = tree.node(leaf_id)
-    if node.kind != LEAF:
+    if tree.feature[leaf_id] >= 0:
         raise ValueError(f"node {leaf_id} is not a leaf")
     if len(idx) == 0:
         return False
     new = _majority(Y[idx])
-    changed = new != node.label
-    node.label = new
+    changed = new != tree.label[leaf_id]
+    tree.label[leaf_id] = new
     return changed
 
 
@@ -63,23 +63,24 @@ def care_set(tree: DecisionTree, node_id: int, idx: np.ndarray,
     Instances correct on both sides or wrong on both sides cannot be
     affected by this node's split and are excluded.
     """
-    node = tree.node(node_id)
-    if node.kind != INTERNAL:
+    if tree.feature[node_id] < 0:
         raise ValueError(f"node {node_id} is not internal")
     idx = np.asarray(idx, dtype=np.int64)
     if len(idx) == 0:
         return CareSet(rows=idx, correct_left=np.zeros(0, dtype=bool))
     X_idx = X[idx]
     y = Y[idx]
-    correct_left = tree.predict_batch(X_idx, start=node.left) == y
-    correct_right = tree.predict_batch(X_idx, start=node.right) == y
+    correct_left = tree.predict_batch(X_idx, start=tree.left[node_id]) == y
+    correct_right = tree.predict_batch(X_idx, start=tree.right[node_id]) == y
     care = correct_left != correct_right
     return CareSet(rows=idx[care], correct_left=correct_left[care])
 
 
-def node_objective(node: TreeNode, X: np.ndarray, care: CareSet) -> int:
-    """Count of care instances routed to their incorrect side."""
-    goes_left = X[care.rows, node.split_feature] <= node.split_value
+def node_objective(tree: DecisionTree, node_id: int, X: np.ndarray,
+                   care: CareSet) -> int:
+    """Count of care instances node_id's split routes to their incorrect
+    side."""
+    goes_left = X[care.rows, tree.feature[node_id]] <= tree.threshold[node_id]
     return int(np.count_nonzero(goes_left != care.correct_left))
 
 
@@ -96,13 +97,10 @@ def optimize_node(tree: DecisionTree, node_id: int, idx: np.ndarray,
     O(n log n) time per feature and O(n·d) memory for n reaching rows
     and d features.
     """
-    node = tree.node(node_id)
-    if node.kind != INTERNAL:
-        raise ValueError(f"node {node_id} is not internal")
     care = care_set(tree, node_id, idx, X, Y)
     if not care:
         return False
-    current = node_objective(node, X, care)
+    current = node_objective(tree, node_id, X, care)
     # one row per feature, each sorted
     xs = np.sort(X[idx].T, axis=1)
     want_left = np.sort(X[care.rows[care.correct_left]].T, axis=1)
@@ -124,8 +122,8 @@ def optimize_node(tree: DecisionTree, node_id: int, idx: np.ndarray,
             best_sf = sf
             best_sv = float(mids[pos])
     if best_obj is not None and best_obj < current:
-        node.split_feature = best_sf
-        node.split_value = best_sv
+        tree.feature[node_id] = best_sf
+        tree.threshold[node_id] = best_sv
         return True
     return False
 
@@ -138,17 +136,13 @@ def tao_pass(tree: DecisionTree, X: np.ndarray, Y: np.ndarray) -> bool:
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.int64)
     reach = compute_reach(tree, X)
-    by_depth: dict[int, list[int]] = {}
-    for node_id, node in tree.nodes.items():
-        by_depth.setdefault(node.depth, []).append(node_id)
+    depth = tree.depth
     changed = False
-    for depth in sorted(by_depth, reverse=True):
-        for node_id in sorted(by_depth[depth]):
-            node = tree.node(node_id)
-            if node.kind == LEAF:
-                changed |= relabel_leaf(tree, node_id, reach[node_id], Y)
-            else:
-                changed |= optimize_node(tree, node_id, reach[node_id], X, Y)
+    for node_id in sorted(reach, key=lambda i: (-depth[i], i)):
+        if tree.feature[node_id] < 0:
+            changed |= relabel_leaf(tree, node_id, reach[node_id], Y)
+        else:
+            changed |= optimize_node(tree, node_id, reach[node_id], X, Y)
     changed |= prune_and_reallocate(tree, X)[0]
     return changed
 
@@ -166,35 +160,32 @@ def prune_and_reallocate(tree: DecisionTree,
     """
     reach = compute_reach(tree, X)
     before = tree.n_nodes
+    left, right = tree.left, tree.right
 
     def kept(node_id: int) -> int:
         """node_id, or the descendant that takes its place."""
-        node = tree.node(node_id)
-        while node.kind == INTERNAL:
-            if len(reach[node.left]) == 0:
-                node = tree.node(node.right)
-            elif len(reach[node.right]) == 0:
-                node = tree.node(node.left)
+        while tree.feature[node_id] >= 0:
+            if len(reach[left[node_id]]) == 0:
+                node_id = right[node_id]
+            elif len(reach[right[node_id]]) == 0:
+                node_id = left[node_id]
             else:
                 break
-        return node.id
+        return node_id
 
     tree.root = kept(tree.root)
+    tree.depth = array("q", [-1]) * len(tree.depth)   # ids not reached are holes
     pruned: dict[int, np.ndarray] = {}
     stack = [(tree.root, 0)]
     while stack:
         node_id, depth = stack.pop()
-        node = tree.node(node_id)
-        node.depth = depth
-        node.count = len(reach[node_id])
+        tree.depth[node_id] = depth
+        tree.count[node_id] = len(reach[node_id])
         pruned[node_id] = reach[node_id]
-        if node.kind == INTERNAL:
-            node.left = kept(node.left)
-            node.right = kept(node.right)
-            stack.extend(((node.left, depth + 1), (node.right, depth + 1)))
-    for node_id in list(tree.nodes):
-        if node_id not in pruned:
-            del tree.nodes[node_id]
+        if tree.feature[node_id] >= 0:
+            for child in (tree.left, tree.right):
+                child[node_id] = kept(child[node_id])
+                stack.append((child[node_id], depth + 1))
     return tree.n_nodes != before, pruned
 
 

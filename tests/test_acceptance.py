@@ -160,11 +160,11 @@ def test_criterion_5_toy_node_objective():
     reach = compute_reach(tree, X)
     care = tao.care_set(tree, 1, reach[1], X, Y)
     assert len(care) == 4                       # one of five is excluded
-    before = tao.node_objective(tree.node(1), X, care)
+    before = tao.node_objective(tree, 1, X, care)
     assert before == 1
     assert tao.optimize_node(tree, 1, reach[1], X, Y)
     care = tao.care_set(tree, 1, reach[1], X, Y)
-    after = tao.node_objective(tree.node(1), X, care)
+    after = tao.node_objective(tree, 1, X, care)
     assert after == 0
     report(5, "node objective 1 -> 0")
 

@@ -11,8 +11,9 @@ import pytest
 
 from imvc import data as dataio
 from imvc import pipeline
-from imvc.dtree import INTERNAL, build_tree, feature_attribution
+from imvc.dtree import build_tree, feature_attribution
 from imvc.pipeline import PipelineConfig
+from trees import internal_ids
 
 
 @pytest.fixture()
@@ -171,8 +172,7 @@ class TestTreeExport:
         dot = dataio.export_tree(tree, [0, 3], fmt="dot")
         assert dot.startswith("digraph tree {")
         assert dot.rstrip().endswith("}")
-        internals = sum(1 for n in tree.nodes.values() if n.kind == "internal")
-        assert dot.count("->") == 2 * internals
+        assert dot.count("->") == 2 * len(internal_ids(tree))
 
     def test_json_round_trip_preserves_predictions(self):
         tree, X = self.make_tree()
@@ -194,6 +194,21 @@ def model_file(payload: bytes) -> bytes:
     payload's sha256 and length, then the payload."""
     return (b"IMVC" + struct.pack("<I", 2) + hashlib.sha256(payload).digest()
             + struct.pack("<Q", len(payload)) + payload)
+
+
+def run_script(script: str, *args, timeout: float = 300) -> dict:
+    """The JSON that `script` prints last, run in a fresh interpreter at
+    one BLAS thread; each script caps its own address space at 1 GB."""
+    src = str(Path(dataio.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 # loads every truncation of a model file and `flips` seeded single-bit
@@ -227,6 +242,59 @@ for kind, at in cases:
     except Exception as exc:
         failures.append(f"{kind} {at}: {type(exc).__name__}: {exc}")
 print(json.dumps({"cases": len(cases), "failures": failures}))
+"""
+
+
+# sets each field of each node record of a model's tree to each of nine
+# JSON values and signs the payload again; each file must load and route
+# every row to a label in [0, k), or raise a ValueError naming it. Prints
+# the counts and what did neither.
+TREE_EDITS = """
+import hashlib, json, resource, struct, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import numpy as np
+from imvc import data
+work = sys.argv[1]
+src, bad = work + "/model.bin", work + "/bad.imvc"
+rows = np.load(work + "/rows.npy")
+views = [rows[:, :1], rows[:, 1:]]
+meta = json.loads(open(src, "rb").read()[48:])
+values = [None, "x", [], {}, True, -1, 2**40, 1.5, float("nan")]
+counts = {"cases": 0, "loaded": 0, "rejected": 0}
+failures = []
+for index in range(len(meta["tree"]["nodes"])):
+    for field in sorted(meta["tree"]["nodes"][index]):
+        for value in values:
+            edited = json.loads(json.dumps(meta))
+            edited["tree"]["nodes"][index][field] = value
+            payload = json.dumps(edited, sort_keys=True,
+                                 separators=(",", ":")).encode()
+            with open(bad, "wb") as f:
+                f.write(b"IMVC" + struct.pack("<I", 2)
+                        + hashlib.sha256(payload).digest()
+                        + struct.pack("<Q", len(payload)) + payload)
+            case = f"node #{index} {field}={value!r}"
+            counts["cases"] += 1
+            try:
+                model = data.load_model(bad)
+            except ValueError as exc:
+                counts["rejected"] += 1
+                if bad not in str(exc):
+                    failures.append(f"{case}: {exc}")
+                continue
+            except Exception as exc:
+                failures.append(f"{case}: {type(exc).__name__}: {exc}")
+                continue
+            counts["loaded"] += 1
+            try:
+                labels = model.predict(views)
+            except Exception as exc:
+                failures.append(f"{case}: predict: {type(exc).__name__}: {exc}")
+                continue
+            if not ((labels >= 0) & (labels < model.config.k)).all():
+                failures.append(f"{case}: predicted {sorted(set(labels))}")
+print(json.dumps(dict(counts, failures=failures)))
 """
 
 
@@ -327,17 +395,7 @@ class TestModelSerialization:
         path = tmp_path / "model.bin"
         dataio.save_model(model, path)
         size = path.stat().st_size
-        src = str(Path(dataio.__file__).resolve().parent.parent)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        done = subprocess.run(
-            [sys.executable, "-c", FUZZ, str(path), str(tmp_path / "bad.imvc"),
-             "12", "3000"],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        result = json.loads(done.stdout.splitlines()[-1])
+        result = run_script(FUZZ, path, tmp_path / "bad.imvc", 12, 3000)
         assert result["cases"] == size + 3000
         assert result["failures"] == []
 
@@ -403,8 +461,7 @@ class TestModelSerialization:
         model, views = state
         path = tmp_path / "model.bin"
         dataio.save_model(model, path)
-        internal = max(n.id for n in model.tree.nodes.values()
-                       if n.kind == INTERNAL)
+        internal = max(internal_ids(model.tree))
 
         def edit(doc):
             for rec in doc["nodes"]:
@@ -452,6 +509,103 @@ class TestModelSerialization:
                                              f"tree document lacks field "
                                              f"'{field}'"):
             dataio.load_model(tmp_path / "bad.imvc")
+
+    # the fixture's tree is a stump: record 0 is the root, internal node 0
+    # with children 1 and 2, and records 1 and 2 are its leaves
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["nodes"].__setitem__(1, [1]),
+         "tree node #1 is not an object"),
+        (lambda doc: doc["nodes"].append(dict(doc["nodes"][2])),
+         "tree node 2 field 'id' is a duplicate"),
+        (lambda doc: doc["nodes"][1].update(id=True),
+         "tree node #1 field 'id' is not an integer in \\[0, 1048576\\)"),
+        (lambda doc: doc["nodes"].append(dict(doc["nodes"][2], id=2**40)),
+         "tree node #3 field 'id' is not an integer in \\[0, 1048576\\)"),
+        (lambda doc: doc["nodes"][0].update(depth=False),
+         "tree node 0 field 'depth' is False, but the node is 0 below the "
+         "root"),
+        (lambda doc: doc["nodes"][2].update(depth=2),
+         "tree node 2 field 'depth' is 2, but the node is 1 below the root"),
+        (lambda doc: doc["nodes"][1].update(count=10.0),
+         "tree node 1 field 'count' is not an integer in \\[0, 2\\*\\*63\\)"),
+        (lambda doc: doc["nodes"][0].update(left=True),
+         "tree node 0 has a missing child True in field 'left'"),
+        (lambda doc: doc["nodes"][0].update(right="2"),
+         "tree node 0 has a missing child '2' in field 'right'"),
+        (lambda doc: doc["nodes"][0].update(split_feature=0.0),
+         "tree node 0 field 'split_feature' is not an integer"),
+        (lambda doc: doc["nodes"][2].update(label=False),
+         "tree node 2 field 'label' is not an integer in \\[0, 2\\)"),
+        (lambda doc: doc["nodes"][2].update(label=2),
+         "tree node 2 field 'label' is not an integer in \\[0, 2\\)"),
+        (lambda doc: doc["nodes"][0].update(split_value="0.5"),
+         "tree node 0 field 'split_value' is not a finite number"),
+        (lambda doc: doc["nodes"][0].update(split_value=float("nan")),
+         "tree node 0 field 'split_value' is not a finite number"),
+        (lambda doc: doc["nodes"][0].update(split_value=10**400),
+         "tree node 0 field 'split_value' is not a finite number"),
+        (lambda doc: doc["nodes"][0].update(kind="Internal"),
+         "tree node 0 field 'kind' is not \"internal\" or \"leaf\""),
+        (lambda doc: doc.update(k="2"),
+         "tree field 'k' is not an integer"),
+        (lambda doc: doc.update(feature_dim=6.0),
+         "tree field 'feature_dim' is not an integer"),
+        (lambda doc: doc.update(root=False),
+         "tree field 'root' is not an integer"),
+        (lambda doc: doc.update(nodes={}),
+         "tree field 'nodes' is not an array"),
+        (lambda doc: doc["nodes"][0].update(left=0),
+         "tree node 0 is reached twice from the root"),
+        (lambda doc: doc["nodes"][0].update(right=1),
+         "tree node 1 is reached twice from the root"),
+        (lambda doc: doc["nodes"].append(dict(doc["nodes"][2], id=7)),
+         "tree node 7 is not reached from the root"),
+    ], ids=["record-array", "duplicate-id", "id-boolean", "id-2^40",
+            "depth-boolean", "depth-wrong", "count-float", "left-boolean",
+            "right-string", "split-feature-float", "label-boolean",
+            "label-out-of-range", "split-value-string", "split-value-nan",
+            "split-value-huge-integer", "kind-capitalized", "k-string",
+            "feature-dim-float", "root-boolean", "nodes-object",
+            "cycle-to-root", "shared-child", "unreached-node"])
+    def test_damaged_tree_field_rejected_at_load(self, tmp_path, state, edit,
+                                                 message):
+        model, _ = state
+        assert dataio.tree_to_doc(model.tree, [0, 3])["nodes"] == [
+            {"id": 0, "kind": "internal", "depth": 0, "split_feature": 0,
+             "split_value": model.tree.threshold[0], "label": None,
+             "left": 1, "right": 2, "count": 20},
+            {"id": 1, "kind": "leaf", "depth": 1, "split_feature": None,
+             "split_value": None, "label": 1, "left": None, "right": None,
+             "count": 10},
+            {"id": 2, "kind": "leaf", "depth": 1, "split_feature": None,
+             "split_value": None, "label": 0, "left": None, "right": None,
+             "count": 10}]
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        self.edit_tree(path, tmp_path / "bad.imvc", edit)
+        with pytest.raises(ValueError, match=f"damaged model file .*bad.imvc: "
+                                             f"{message}"):
+            dataio.load_model(tmp_path / "bad.imvc")
+
+    def test_every_tree_field_edit_loads_or_is_rejected(self, tmp_path):
+        """Each field of each node of a small tree set to each of nine JSON
+        values and signed again: the file loads and routes every row to a
+        label in [0, k), or raises a ValueError naming it. A hang or a huge
+        allocation fails the test through `run_script`'s limits."""
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((60, 4))
+        tree = build_tree(X, rng.integers(0, 3, size=60), max_depth=3,
+                          min_num=2, k=3)
+        assert tree.n_nodes >= 7
+        model = pipeline.ServedModel(config=PipelineConfig(k=3), tree=tree,
+                                     view_dims=[1, 3])
+        dataio.save_model(model, tmp_path / "model.bin")
+        np.save(tmp_path / "rows.npy",
+                np.vstack([X, 10 * rng.standard_normal((40, 4))]))
+        result = run_script(TREE_EDITS, tmp_path)
+        assert result["cases"] == 9 * 9 * tree.n_nodes
+        assert result["loaded"] > 0 and result["rejected"] > 0
+        assert result["failures"] == []
 
     def test_tree_wider_than_the_views_rejected_at_load(self, tmp_path, state):
         model, _ = state

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imvc.dtree import (
-    INTERNAL,
-    LEAF,
     best_split,
     build_tree,
     gini,
     split_gini,
 )
+from trees import leaf_label
 
 
 def exact_gini(labels):
@@ -179,8 +178,8 @@ class TestBuildTree:
         X = np.random.default_rng(0).standard_normal((5, 2))
         tree = build_tree(X, [1] * 5, max_depth=10, min_num=1)
         assert tree.n_nodes == 1
-        assert tree.node(tree.root).kind == LEAF
-        assert tree.node(tree.root).label == 1
+        assert tree.feature[tree.root] == -1
+        assert tree.label[tree.root] == 1
 
     def test_depth_cap(self):
         X = np.arange(8, dtype=float).reshape(-1, 1)
@@ -192,11 +191,10 @@ class TestBuildTree:
     def test_two_pure_leaves(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         tree = build_tree(X, [0, 0, 1, 1], max_depth=10, min_num=1)
-        root = tree.node(tree.root)
-        assert root.kind == INTERNAL
-        assert (root.split_feature, root.split_value) == (0, 1.5)
-        assert tree.node(root.left).label == 0
-        assert tree.node(root.right).label == 1
+        root = tree.root
+        assert (tree.feature[root], tree.threshold[root]) == (0, 1.5)
+        assert tree.label[tree.left[root]] == 0
+        assert tree.label[tree.right[root]] == 1
 
     def test_min_num_stops_splitting(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -221,13 +219,13 @@ class TestBuildTree:
 class TestPredict:
     def test_single_leaf(self):
         tree = build_tree(np.zeros((3, 2)), [2, 2, 2], max_depth=5, min_num=1)
-        assert tree.predict(np.array([9.0, -9.0])) == 2
+        assert leaf_label(tree, [9.0, -9.0]) == 2
 
     def test_boundary_goes_left(self):
         X = np.array([[0.0], [1.0]])
         tree = build_tree(X, [0, 1], max_depth=5, min_num=1)
-        sv = tree.node(tree.root).split_value
-        assert tree.predict(np.array([sv])) == 0
+        sv = tree.threshold[tree.root]
+        assert leaf_label(tree, [sv]) == 0
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(6)
@@ -236,10 +234,10 @@ class TestPredict:
         tree = build_tree(X, y, max_depth=8, min_num=2)
         probes = rng.standard_normal((50, 4))
         batch = tree.predict_batch(probes)
-        scalar = [tree.predict(p) for p in probes]
+        scalar = [leaf_label(tree, p) for p in probes]
         np.testing.assert_array_equal(batch, scalar)
 
     def test_dimension_mismatch(self):
         tree = build_tree(np.zeros((2, 3)), [0, 0], max_depth=2, min_num=1)
         with pytest.raises(ValueError):
-            tree.predict(np.zeros(2))
+            tree.predict_batch(np.zeros((1, 2)))

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 import imvc
 from imvc import data as dataio
 from imvc import nncore, pipeline
-from imvc.dtree import LEAF
 from imvc.kmeans import KMeansResult
 from imvc.pipeline import PipelineConfig
 
 from test_training import train_view, training_digest
+from trees import leaf_labels, make_tree
 
 
 @pytest.fixture(scope="module")
@@ -367,8 +367,7 @@ class TestTreePhase:
         state = pipeline.initialize(views, config)
         views64 = [np.asarray(v, float) for v in views]
         before = state.labels.hard.copy()
-        leaves = {i: n.label for i, n in state.tree.nodes.items()
-                  if n.kind == LEAF}
+        leaves = leaf_labels(state.tree)
 
         def renumbered(Z, k, seed):
             labels = (before + 1) % k
@@ -379,8 +378,7 @@ class TestTreePhase:
         pipeline.tree_phase(state, views64)
         np.testing.assert_array_equal(state.labels.hard, before)
         np.testing.assert_array_equal(state.kmeans_labels, before)
-        assert {i: n.label for i, n in state.tree.nodes.items()
-                if n.kind == LEAF} == leaves
+        assert leaf_labels(state.tree) == leaves
 
     def test_tree_loss_is_disagreement_with_pseudo_labels(self, small_dataset,
                                                           monkeypatch):
@@ -451,10 +449,7 @@ class TestExplain:
         config = PipelineConfig(k=3, e1=1, min_num=5, seed=0)
         state = pipeline.initialize(views, config)
         # collapse to one leaf
-        from imvc.dtree import DecisionTree, TreeNode, LEAF
-        state.tree = DecisionTree(
-            {0: TreeNode(id=0, kind=LEAF, depth=0, label=2)}, 0, 3,
-            state.tree.feature_dim)
+        state.tree = make_tree({0: 2}, 3, state.tree.feature_dim)
         path, label = pipeline.explain(state, [v[0] for v in views])
         assert path == []
         assert label == 2

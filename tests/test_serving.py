@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imvc.dtree import INTERNAL, LEAF, DecisionTree, TreeNode, build_tree
+from imvc.dtree import build_tree
 from imvc.pipeline import PipelineConfig, ServedModel
+from trees import make_tree
 
 THRESHOLDS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
 
@@ -27,11 +28,11 @@ def reference_labels(tree, X, start):
     """Leaf labels by walking each row of the concatenated matrix."""
     out = []
     for x in X:
-        node = tree.node(start)
-        while node.kind == INTERNAL:
-            go_left = x[node.split_feature] <= node.split_value
-            node = tree.node(node.left if go_left else node.right)
-        out.append(node.label)
+        node = start
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out.append(tree.label[node])
     return np.array(out, dtype=np.int64)
 
 
@@ -53,19 +54,15 @@ def served_problems(draw):
                       for f in (o, o + d - 1)]
     split_features += [int(f) for f in rng.integers(sum(dims), size=3)]
     k = 3
-    nodes = {0: TreeNode(id=0, kind=LEAF, depth=0, label=0)}
+    nodes = {0: 0}
     for sf in split_features:
-        leaf = nodes[int(rng.choice([i for i, nd in nodes.items()
-                                     if nd.kind == LEAF]))]
+        leaf = int(rng.choice([i for i, spec in nodes.items()
+                               if not isinstance(spec, tuple)]))
         left, right = len(nodes), len(nodes) + 1
         for child in (left, right):
-            nodes[child] = TreeNode(id=child, kind=LEAF, depth=leaf.depth + 1,
-                                    label=int(rng.integers(k)))
-        leaf.kind, leaf.label = INTERNAL, None
-        leaf.split_feature = sf
-        leaf.split_value = float(rng.choice(THRESHOLDS))
-        leaf.left, leaf.right = left, right
-    tree = DecisionTree(nodes, 0, k, sum(dims))
+            nodes[child] = int(rng.integers(k))
+        nodes[leaf] = (sf, float(rng.choice(THRESHOLDS)), left, right)
+    tree = make_tree(nodes, k, sum(dims))
     standardizer = None
     if draw(st.booleans()):
         standardizer = [(rng.integers(-1, 2, size=d).astype(np.float64),
@@ -92,7 +89,7 @@ def test_route_over_views_equals_route_over_their_concatenation(problem):
     tree = model.tree
     views = model.preprocess(views)
     X = np.hstack(views)
-    for start in tree.nodes:
+    for start in tree.ids():
         by_views = list(tree.route(views, start))
         by_matrix = list(tree.route(X, start))
         assert [n for n, _ in by_views] == [n for n, _ in by_matrix]

@@ -1,17 +1,13 @@
 import copy
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imvc.dtree import (
-    INTERNAL,
-    LEAF,
-    DecisionTree,
-    TreeNode,
-    build_tree,
-)
+from imvc.data import doc_to_tree, tree_to_doc
+from imvc.dtree import build_tree
 from imvc.tao import (
     care_set,
     compute_reach,
@@ -22,11 +18,7 @@ from imvc.tao import (
     relabel_leaf,
     tao_pass,
 )
-
-
-def make_tree(nodes, root, k, feature_dim):
-    return DecisionTree(nodes={n.id: n for n in nodes}, root=root, k=k,
-                        feature_dim=feature_dim)
+from trees import internal_ids, leaf_label, make_tree
 
 
 def misclassification(tree, X, Y):
@@ -52,16 +44,8 @@ def toy_three_label_instance():
         [1.0, 0.0],    # label 2, routed to the root's right leaf
     ])
     Y = np.array([0, 2, 0, 1, 1, 2])
-    nodes = [
-        TreeNode(id=0, kind=INTERNAL, depth=0, split_feature=0,
-                 split_value=0.5, left=1, right=2),
-        TreeNode(id=1, kind=INTERNAL, depth=1, split_feature=1,
-                 split_value=2.5, left=3, right=4),
-        TreeNode(id=2, kind=LEAF, depth=1, label=2),
-        TreeNode(id=3, kind=LEAF, depth=2, label=0),
-        TreeNode(id=4, kind=LEAF, depth=2, label=1),
-    ]
-    return make_tree(nodes, 0, 3, 2), X, Y
+    nodes = {0: (0, 0.5, 1, 2), 1: (1, 2.5, 3, 4), 2: 2, 3: 0, 4: 1}
+    return make_tree(nodes, 3, 2), X, Y
 
 
 class TestReach:
@@ -70,8 +54,8 @@ class TestReach:
         reach = compute_reach(tree, X)
         np.testing.assert_array_equal(sorted(reach[0]), np.arange(6))
         for node_id in (0, 1):
-            node = tree.node(node_id)
-            merged = sorted([*reach[node.left], *reach[node.right]])
+            merged = sorted([*reach[tree.left[node_id]],
+                             *reach[tree.right[node_id]]])
             np.testing.assert_array_equal(merged, sorted(reach[node_id]))
 
 
@@ -83,25 +67,20 @@ def random_tree(seed):
     """
     rng = np.random.default_rng(seed)
     ids = iter(rng.permutation(64).tolist())
-    nodes = []
+    nodes = {}
 
     def grow(depth):
         node_id = next(ids)
         if depth == 4 or rng.random() < 0.3:
-            nodes.append(TreeNode(id=node_id, kind=LEAF, depth=depth,
-                                  label=int(rng.integers(3))))
+            nodes[node_id] = int(rng.integers(3))
         else:
-            node = TreeNode(id=node_id, kind=INTERNAL, depth=depth,
-                            split_feature=int(rng.integers(3)),
-                            split_value=float(rng.integers(-1, 5)))
-            nodes.append(node)
-            node.left = grow(depth + 1)
-            node.right = grow(depth + 1)
+            split = int(rng.integers(3)), float(rng.integers(-1, 5))
+            nodes[node_id] = (*split, grow(depth + 1), grow(depth + 1))
         return node_id
 
     root = grow(0)
     X = rng.integers(0, 4, size=(int(rng.integers(0, 40)), 3)).astype(float)
-    return make_tree(nodes, root, 3, 3), X
+    return make_tree(nodes, 3, 3, root=root), X
 
 
 class TestRoutingProperties:
@@ -109,8 +88,8 @@ class TestRoutingProperties:
     @given(st.integers(0, 2**32 - 1))
     def test_batch_walk_matches_scalar_walk_from_every_node(self, seed):
         tree, X = random_tree(seed)
-        for start in tree.nodes:
-            expected = [tree.predict(x, start=start) for x in X]
+        for start in tree.ids():
+            expected = [leaf_label(tree, x, start) for x in X]
             np.testing.assert_array_equal(tree.predict_batch(X, start=start),
                                           np.array(expected, dtype=np.int64))
 
@@ -119,18 +98,18 @@ class TestRoutingProperties:
     def test_reach_partitions_rows_at_every_internal_node(self, seed):
         tree, X = random_tree(seed)
         reach = compute_reach(tree, X)
-        assert set(reach) == set(tree.nodes)
+        assert set(reach) == set(tree.ids())
         np.testing.assert_array_equal(reach[tree.root], np.arange(len(X)))
-        for node in tree.nodes.values():
-            if node.kind == INTERNAL:
-                left, right = reach[node.left], reach[node.right]
-                assert not set(left) & set(right)
-                np.testing.assert_array_equal(np.sort(np.r_[left, right]),
-                                              reach[node.id])
-                for i in left:
-                    assert X[i, node.split_feature] <= node.split_value
-                for i in right:
-                    assert X[i, node.split_feature] > node.split_value
+        for node_id in internal_ids(tree):
+            left, right = reach[tree.left[node_id]], reach[tree.right[node_id]]
+            assert not set(left) & set(right)
+            np.testing.assert_array_equal(np.sort(np.r_[left, right]),
+                                          reach[node_id])
+            sf, sv = tree.feature[node_id], tree.threshold[node_id]
+            for i in left:
+                assert X[i, sf] <= sv
+            for i in right:
+                assert X[i, sf] > sv
 
 
 class TestRelabelLeaf:
@@ -139,33 +118,33 @@ class TestRelabelLeaf:
         changed = relabel_leaf(tree, 3, np.array([0, 1, 2]),
                                np.array([0, 0, 1, 9, 9, 9]))
         assert not changed
-        assert tree.node(3).label == 0
+        assert tree.label[3] == 0
 
     def test_empty_reach_is_noop(self):
         tree, _, Y = toy_three_label_instance()
         assert not relabel_leaf(tree, 2, np.array([], dtype=int), Y)
-        assert tree.node(2).label == 2
+        assert tree.label[2] == 2
 
     def test_tie_breaks_to_smaller_cluster(self):
         tree, _, _ = toy_three_label_instance()
         relabel_leaf(tree, 4, np.array([0, 1]), np.array([2, 1]))
-        assert tree.node(4).label == 1
+        assert tree.label[4] == 1
 
 
 class TestSubtreeLabel:
     def test_leaf_is_its_label(self):
         tree, X, _ = toy_three_label_instance()
-        assert tree.predict(X[0], start=2) == 2
+        assert leaf_label(tree, X[0], start=2) == 2
 
     def test_depth_one_subtree(self):
         tree, X, _ = toy_three_label_instance()
-        assert tree.predict(np.array([0.0, 1.0]), start=1) == 0
-        assert tree.predict(np.array([0.0, 3.0]), start=1) == 1
+        assert leaf_label(tree, [0.0, 1.0], start=1) == 0
+        assert leaf_label(tree, [0.0, 3.0], start=1) == 1
 
     def test_root_matches_predict(self):
         tree, X, _ = toy_three_label_instance()
         for x in X:
-            assert tree.predict(x, start=tree.root) == tree.predict(x)
+            assert leaf_label(tree, x, start=tree.root) == leaf_label(tree, x)
 
     def test_path_follows_the_threshold_tests(self):
         tree, _, _ = toy_three_label_instance()
@@ -178,13 +157,7 @@ class TestSubtreeLabel:
 class TestCareSet:
     def test_same_label_children_give_empty_care_set(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        nodes = [
-            TreeNode(id=0, kind=INTERNAL, depth=0, split_feature=0,
-                     split_value=0.5, left=1, right=2),
-            TreeNode(id=1, kind=LEAF, depth=1, label=0),
-            TreeNode(id=2, kind=LEAF, depth=1, label=0),
-        ]
-        tree = make_tree(nodes, 0, 2, 1)
+        tree = make_tree({0: (0, 0.5, 1, 2), 1: 0, 2: 0}, 2, 1)
         care = care_set(tree, 0, np.arange(3), X, np.array([0, 1, 0]))
         assert care.rows.tolist() == [] and care.correct_left.tolist() == []
 
@@ -205,15 +178,13 @@ class TestCareSet:
             y = rng.integers(0, 3, size=40)
             tree = build_tree(X, rng.integers(0, 3, size=40), 4, 2)
             reach = compute_reach(tree, X)
-            for node in tree.nodes.values():
-                if node.kind != INTERNAL:
-                    continue
-                care = care_set(tree, node.id, reach[node.id], X, y)
+            for node_id in internal_ids(tree):
+                care = care_set(tree, node_id, reach[node_id], X, y)
                 lookup = dict(zip(care.rows.tolist(),
                                   care.correct_left.tolist()))
-                for i in reach[node.id].tolist():
-                    left_ok = tree.predict(X[i], start=node.left) == y[i]
-                    right_ok = tree.predict(X[i], start=node.right) == y[i]
+                for i in reach[node_id].tolist():
+                    left_ok = leaf_label(tree, X[i], tree.left[node_id]) == y[i]
+                    right_ok = leaf_label(tree, X[i], tree.right[node_id]) == y[i]
                     if left_ok != right_ok:
                         assert lookup[i] == left_ok
                     else:
@@ -227,11 +198,10 @@ def oracle_optimize_node(tree, node_id, idx, X, Y):
     keeps the current split unless some candidate misroutes fewer; ties go
     to the lowest count, then feature, then threshold.
     """
-    node = tree.node(node_id)
     care = []
     for i in idx:
-        left_ok = tree.predict(X[i], start=node.left) == Y[i]
-        right_ok = tree.predict(X[i], start=node.right) == Y[i]
+        left_ok = leaf_label(tree, X[i], tree.left[node_id]) == Y[i]
+        right_ok = leaf_label(tree, X[i], tree.right[node_id]) == Y[i]
         if left_ok != right_ok:
             care.append((i, left_ok))
 
@@ -244,23 +214,21 @@ def oracle_optimize_node(tree, node_id, idx, X, Y):
         for lo, hi in zip(vals, vals[1:]):
             key = (misroutes(sf, (lo + hi) / 2.0), sf, (lo + hi) / 2.0)
             best = key if best is None else min(best, key)
-    current = misroutes(node.split_feature, node.split_value)
+    current = misroutes(tree.feature[node_id], tree.threshold[node_id])
     if care and best is not None and best[0] < current:
         return True, best[1], best[2]
-    return False, node.split_feature, node.split_value
+    return False, tree.feature[node_id], tree.threshold[node_id]
 
 
 def assert_every_node_matches_brute_force(tree, X, Y):
     """optimize_node on each internal node of a copy agrees with the oracle."""
     reach = compute_reach(tree, X)
-    for node in tree.nodes.values():
-        if node.kind != INTERNAL:
-            continue
-        expected = oracle_optimize_node(tree, node.id, reach[node.id], X, Y)
+    for node_id in internal_ids(tree):
+        expected = oracle_optimize_node(tree, node_id, reach[node_id], X, Y)
         trial = copy.deepcopy(tree)
-        changed = optimize_node(trial, node.id, reach[node.id], X, Y)
-        got = trial.node(node.id)
-        assert (changed, got.split_feature, got.split_value) == expected
+        changed = optimize_node(trial, node_id, reach[node_id], X, Y)
+        got = (changed, trial.feature[node_id], trial.threshold[node_id])
+        assert got == expected
 
 
 class TestOptimizeNode:
@@ -283,38 +251,25 @@ class TestOptimizeNode:
     def test_toy_objective_drops_from_one_to_zero(self):
         tree, X, Y = toy_three_label_instance()
         reach = compute_reach(tree, X)
-        node = tree.node(1)
         care = care_set(tree, 1, reach[1], X, Y)
-        assert node_objective(node, X, care) == 1
+        assert node_objective(tree, 1, X, care) == 1
         assert optimize_node(tree, 1, reach[1], X, Y)
         care = care_set(tree, 1, reach[1], X, Y)
-        assert node_objective(tree.node(1), X, care) == 0
+        assert node_objective(tree, 1, X, care) == 0
 
     def test_empty_care_set_keeps_split(self):
         X = np.array([[0.0], [1.0]])
-        nodes = [
-            TreeNode(id=0, kind=INTERNAL, depth=0, split_feature=0,
-                     split_value=0.5, left=1, right=2),
-            TreeNode(id=1, kind=LEAF, depth=1, label=0),
-            TreeNode(id=2, kind=LEAF, depth=1, label=0),
-        ]
-        tree = make_tree(nodes, 0, 2, 1)
+        tree = make_tree({0: (0, 0.5, 1, 2), 1: 0, 2: 0}, 2, 1)
         assert not optimize_node(tree, 0, np.arange(2), X, np.array([0, 0]))
-        assert tree.node(0).split_value == 0.5
+        assert tree.threshold[0] == 0.5
 
     def test_single_care_instance_gets_routed_correctly(self):
         # instance 0 is correct only on the left; current split sends it right
         X = np.array([[3.0], [0.0], [5.0]])
         Y = np.array([0, 0, 1])
-        nodes = [
-            TreeNode(id=0, kind=INTERNAL, depth=0, split_feature=0,
-                     split_value=1.0, left=1, right=2),
-            TreeNode(id=1, kind=LEAF, depth=1, label=0),
-            TreeNode(id=2, kind=LEAF, depth=1, label=1),
-        ]
-        tree = make_tree(nodes, 0, 2, 1)
+        tree = make_tree({0: (0, 1.0, 1, 2), 1: 0, 2: 1}, 2, 1)
         assert optimize_node(tree, 0, np.arange(3), X, Y)
-        assert X[0, 0] <= tree.node(0).split_value
+        assert X[0, 0] <= tree.threshold[0]
 
 
 class TestTaoPass:
@@ -347,6 +302,18 @@ class TestTaoPass:
                 prev = cur
 
 
+# Rows for `stacked_one_sided_tree`: all that reach node 1 go left and all
+# that reach node 3 go right, so pruning splices out 1 and 3 and leaves
+# ids 1, 3, 4 and 5 as holes.
+STACKED_X = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+def stacked_one_sided_tree():
+    return make_tree({0: (0, 0.5, 1, 2), 1: (0, 10.0, 3, 4), 2: 2,
+                      3: (0, -10.0, 5, 6), 4: 0, 5: 0, 6: (1, 0.5, 7, 8),
+                      7: 0, 8: 1}, 3, 2)
+
+
 class TestPrune:
     def test_no_empty_nodes_is_identity(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -359,46 +326,26 @@ class TestPrune:
 
     def test_all_left_internal_node_is_replaced(self):
         X = np.array([[0.0], [1.0]])
-        nodes = [
-            TreeNode(id=0, kind=INTERNAL, depth=0, split_feature=0,
-                     split_value=5.0, left=1, right=2),   # everything left
-            TreeNode(id=1, kind=LEAF, depth=1, label=1),
-            TreeNode(id=2, kind=LEAF, depth=1, label=0),
-        ]
-        tree = make_tree(nodes, 0, 2, 1)
+        # everything goes left
+        tree = make_tree({0: (0, 5.0, 1, 2), 1: 1, 2: 0}, 2, 1)
         changed, _ = prune_and_reallocate(tree, X)
         assert changed
         assert tree.n_nodes == 1
-        assert tree.node(tree.root).label == 1
-        assert tree.node(tree.root).depth == 0
+        assert tree.label[tree.root] == 1
+        assert tree.depth[tree.root] == 0
 
     def test_stacked_one_sided_nodes_are_both_spliced(self):
-        X = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-        nodes = [
-            TreeNode(id=0, kind=INTERNAL, depth=0, split_feature=0,
-                     split_value=0.5, left=1, right=2),
-            TreeNode(id=1, kind=INTERNAL, depth=1, split_feature=0,
-                     split_value=10.0, left=3, right=4),    # everything left
-            TreeNode(id=2, kind=LEAF, depth=1, label=2),
-            TreeNode(id=3, kind=INTERNAL, depth=2, split_feature=0,
-                     split_value=-10.0, left=5, right=6),   # everything right
-            TreeNode(id=4, kind=LEAF, depth=2, label=0),
-            TreeNode(id=5, kind=LEAF, depth=3, label=0),
-            TreeNode(id=6, kind=INTERNAL, depth=3, split_feature=1,
-                     split_value=0.5, left=7, right=8),
-            TreeNode(id=7, kind=LEAF, depth=4, label=0),
-            TreeNode(id=8, kind=LEAF, depth=4, label=1),
-        ]
-        tree = make_tree(nodes, 0, 3, 2)
+        X = STACKED_X
+        tree = stacked_one_sided_tree()
         before = tree.predict_batch(X)
         changed, reach = prune_and_reallocate(tree, X)
         assert changed
-        assert sorted(tree.nodes) == [0, 2, 6, 7, 8]
-        assert (tree.root, tree.node(0).left, tree.node(0).right) == (0, 6, 2)
-        assert (tree.node(6).left, tree.node(6).right) == (7, 8)
-        assert {i: n.depth for i, n in tree.nodes.items()} == {
+        assert tree.ids() == [0, 2, 6, 7, 8]
+        assert (tree.root, tree.left[0], tree.right[0]) == (0, 6, 2)
+        assert (tree.left[6], tree.right[6]) == (7, 8)
+        assert {i: tree.depth[i] for i in tree.ids()} == {
             0: 0, 2: 1, 6: 1, 7: 2, 8: 2}
-        assert {i: n.count for i, n in tree.nodes.items()} == {
+        assert {i: tree.count[i] for i in tree.ids()} == {
             0: 4, 2: 1, 6: 3, 7: 1, 8: 2}
         assert sorted(reach) == [0, 2, 6, 7, 8]
         expected = {0: [0, 1, 2, 3], 2: [3], 6: [0, 1, 2], 7: [0], 8: [1, 2]}
@@ -407,20 +354,34 @@ class TestPrune:
         np.testing.assert_array_equal(tree.predict_batch(X), before)
         assert not prune_and_reallocate(tree, X)[0]
 
+    def test_holes_survive_a_document_round_trip(self):
+        tree = stacked_one_sided_tree()
+        prune_and_reallocate(tree, STACKED_X)
+        assert tree.ids() == [0, 2, 6, 7, 8] and len(tree.depth) == 9
+        assert (tree.n_nodes, tree.max_depth()) == (5, 2)
+        doc = json.dumps(tree_to_doc(tree, [0, 1]), sort_keys=True)
+        restored = doc_to_tree(json.loads(doc))
+        assert json.dumps(tree_to_doc(restored, [0, 1]), sort_keys=True) == doc
+        assert (restored.n_nodes, restored.max_depth()) == (5, 2)
+        probes = np.random.default_rng(0).integers(-1, 3, size=(200, 2))
+        probes = probes.astype(np.float64)
+        assert ([(i, rows.tolist()) for i, rows in restored.route(probes)]
+                == [(i, rows.tolist()) for i, rows in tree.route(probes)])
+
     def test_reach_partitions_after_prune(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((50, 2))
             tree = build_tree(X, rng.integers(0, 3, size=50), 5, 2)
             # force an empty branch
-            root = tree.node(tree.root)
-            if root.kind == INTERNAL:
-                root.split_value = X[:, root.split_feature].max() + 1.0
+            root = tree.root
+            if tree.feature[root] >= 0:
+                tree.threshold[root] = X[:, tree.feature[root]].max() + 1.0
             _, reach = prune_and_reallocate(tree, X)
-            for node in tree.nodes.values():
-                if node.kind == INTERNAL:
-                    merged = sorted([*reach[node.left], *reach[node.right]])
-                    np.testing.assert_array_equal(merged, sorted(reach[node.id]))
+            for node_id in internal_ids(tree):
+                merged = sorted([*reach[tree.left[node_id]],
+                                 *reach[tree.right[node_id]]])
+                np.testing.assert_array_equal(merged, sorted(reach[node_id]))
 
 
 class TestOptimizeTree:
@@ -434,12 +395,9 @@ class TestOptimizeTree:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         Y = np.array([0, 0, 1, 1])
         tree = build_tree(X, Y, max_depth=5, min_num=1)
-        doc_before = [(n.id, n.kind, n.split_feature, n.split_value, n.label)
-                      for n in tree.nodes.values()]
+        doc_before = tree_to_doc(tree, [0])
         optimize_tree(tree, X, Y)
-        doc_after = [(n.id, n.kind, n.split_feature, n.split_value, n.label)
-                     for n in tree.nodes.values()]
-        assert doc_before == doc_after
+        assert tree_to_doc(tree, [0]) == doc_before
 
     def test_terminates_and_never_grows(self):
         for seed in range(10):
