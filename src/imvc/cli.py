@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -11,18 +12,22 @@ from . import data, metrics, pipeline
 
 
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
+    config = pipeline.PipelineConfig
     p.add_argument("manifest", help="dataset manifest JSON")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--e1", type=int, default=200, help="pretraining epochs")
-    p.add_argument("--e2", type=int, default=400, help="feature-phase epochs")
-    p.add_argument("--max-depth", type=int, default=10)
-    p.add_argument("--min-num", type=int, default=10,
+    p.add_argument("--e1", type=int, default=config.e1,
+                   help="pretraining epochs")
+    p.add_argument("--e2", type=int, default=config.e2,
+                   help="feature-phase epochs")
+    p.add_argument("--max-depth", type=int, default=config.max_depth)
+    p.add_argument("--min-num", type=int, default=config.min_num,
                    help="minimum instances needed to split a node")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1,
+    p.add_argument("--lambda", dest="lam", type=float, default=config.lam,
                    help="cross-entropy trade-off coefficient")
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cycles", type=int, default=5,
+    p.add_argument("--lr", type=float, default=config.lr)
+    p.add_argument("--seed", type=int, default=config.seed)
+    p.add_argument("--cycles", dest="outer_cycles", metavar="CYCLES",
+                   type=int, default=config.outer_cycles,
                    help="maximum joint optimization cycles")
     p.add_argument("--standardize", action="store_true",
                    help="z-score each view feature before training")
@@ -71,11 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fit(args) -> int:
     views, _, _ = data.load_dataset(args.manifest)
-    config = pipeline.PipelineConfig(
-        k=args.k, e1=args.e1, e2=args.e2, max_depth=args.max_depth,
-        min_num=args.min_num, lam=args.lam, lr=args.lr, seed=args.seed,
-        outer_cycles=args.cycles, standardize=args.standardize,
-    )
+    config = pipeline.PipelineConfig(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(pipeline.PipelineConfig)})
     state = pipeline.fit(views, config)
     data.save_model(state, args.out)
     print(f"model written to {args.out} "

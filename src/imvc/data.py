@@ -48,7 +48,29 @@ class DatasetManifest:
     labels_path: str | None = None
 
 
+# a manifest field's test and what it expects; a boolean is not a count
+_STRING = (lambda value: isinstance(value, str), "a string")
+_COUNT = (lambda value: type(value) is int and value > 0, "a positive integer")
+_VIEW_LIST = (lambda value: isinstance(value, list) and len(value) > 0,
+              "a non-empty array")
+
+
+def _manifest_field(obj, where: str, name: str, check):
+    """obj[name], when obj is a JSON object holding it and it passes
+    `check`; otherwise a DatasetError naming `where` and the field."""
+    ok, expected = check
+    if not isinstance(obj, dict):
+        raise DatasetError(f"{where} is not a JSON object")
+    if name not in obj:
+        raise DatasetError(f"{where} is missing field {name!r}")
+    if not ok(obj[name]):
+        raise DatasetError(f"{where} field {name!r} is {obj[name]!r}, "
+                           f"expected {expected}")
+    return obj[name]
+
+
 def load_manifest(path) -> DatasetManifest:
+    """The manifest at `path`, each field checked for its JSON type."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -56,16 +78,19 @@ def load_manifest(path) -> DatasetManifest:
         raise DatasetError(f"manifest not found: {path}")
     except json.JSONDecodeError as exc:
         raise DatasetError(f"manifest {path} is not valid JSON: {exc}")
-    try:
-        views = [ViewSpec(path=v["path"], dim=int(v["dim"])) for v in raw["views"]]
-        manifest = DatasetManifest(name=raw["name"], n=int(raw["n"]),
-                                   views=views,
-                                   labels_path=raw.get("labels_path"))
-    except (KeyError, TypeError) as exc:
-        raise DatasetError(f"manifest {path} is missing field: {exc}")
-    if not manifest.views:
-        raise DatasetError(f"manifest {path} declares no views")
-    return manifest
+    where = f"manifest {path}"
+    name = _manifest_field(raw, where, "name", _STRING)
+    n = _manifest_field(raw, where, "n", _COUNT)
+    views = []
+    for i, spec in enumerate(_manifest_field(raw, where, "views", _VIEW_LIST)):
+        at = f"{where} view {i}"
+        views.append(ViewSpec(path=_manifest_field(spec, at, "path", _STRING),
+                              dim=_manifest_field(spec, at, "dim", _COUNT)))
+    labels_path = None
+    if raw.get("labels_path") is not None:
+        labels_path = _manifest_field(raw, where, "labels_path", _STRING)
+    return DatasetManifest(name=name, n=n, views=views,
+                           labels_path=labels_path)
 
 
 def _load_csv_matrix(path: Path, what: str) -> np.ndarray:
@@ -172,6 +197,11 @@ def synth_multiview(n_per_cluster: int, k: int, n_views: int, dims,
         dims = [int(dims)] * n_views
     if len(dims) != n_views:
         raise ValueError("dims must have one entry per view")
+    for v, dim in enumerate(dims):
+        if dim < 1:
+            # a view without features has no distinct means to draw
+            raise ValueError(f"view {v} has {dim} features, expected at "
+                             f"least 1")
     rng = np.random.default_rng(seed)
     truth = np.repeat(np.arange(k), n_per_cluster)
     views = []
@@ -223,8 +253,9 @@ _node_fields = operator.itemgetter("id", "kind", "depth", "split_feature",
                                    "split_value", "label", "left", "right",
                                    "count")
 # The tree's arrays are indexed by node id, so a document naming an id
-# past this is rejected rather than allocated. build_tree numbers fewer
-# than 2n nodes for n rows, so a model fit on fewer than 2**19 rows loads.
+# past this is rejected rather than allocated, and save_model writes no
+# such file. build_tree numbers fewer than 2n nodes for n rows, so a model
+# fit on fewer than 2**19 rows always saves.
 _NODE_ID_END = 1 << 20
 _INT64_END = 1 << 63
 
@@ -406,7 +437,12 @@ _HEADER = struct.Struct("<4sI32sQ")
 
 def save_model(model: ServedModel, path) -> None:
     """Write what serving reads of `model`, a fitted ModelState or a loaded
-    ServedModel: the header, then one JSON payload."""
+    ServedModel: the header, then one JSON payload. A tree with a node id
+    that load_model would reject raises ValueError before the file opens."""
+    last_id = model.tree.ids()[-1]
+    if last_id >= _NODE_ID_END:
+        raise ValueError(f"a model file holds node ids below "
+                         f"{_NODE_ID_END}; this tree has id {last_id}")
     standardizer = model.standardizer
     if standardizer is not None:
         standardizer = [[mean.tolist(), std.tolist()]
@@ -503,7 +539,8 @@ def load_model(path) -> ServedModel:
     _check_meta(meta, path)
     try:
         cfg = PipelineConfig(**meta["config"])
-    except TypeError as exc:        # a key PipelineConfig lacks or needs
+        cfg.validate()
+    except (TypeError, ValueError) as exc:  # a key it lacks, a bad value
         raise _damaged(path, f"field 'config' is malformed: {exc}") from None
     view_dims = meta["view_dims"]
     standardizer = meta["standardizer"]

@@ -34,10 +34,13 @@ class KMeansResult:
     sse_history: list[float] = field(default_factory=list)
 
 
-def _sq_dists(Z: np.ndarray, centers: np.ndarray,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """(n, k) squared distances, one center at a time through one (n, d) buffer."""
-    d2 = np.empty((Z.shape[0], centers.shape[0]))
+def sq_dists(Z: np.ndarray, centers: np.ndarray,
+             scratch: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """(n, k) squared distances of Z's rows to the k centers, written into
+    `out`; taken one center at a time through `scratch`, an array shaped
+    like Z. Either is allocated when it is None."""
+    d2 = np.empty((Z.shape[0], centers.shape[0])) if out is None else out
     diff = np.empty_like(Z) if scratch is None else scratch
     for j, center in enumerate(centers):
         np.subtract(Z, center, out=diff)
@@ -76,15 +79,9 @@ def kmeanspp_init(Z: np.ndarray, k: int, seed,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if scratch is None:
         scratch = np.empty_like(Z)
-    dist = np.empty(n)
-
-    def sq_dist_to(row: int) -> np.ndarray:
-        np.subtract(Z, Z[row], out=scratch)
-        np.multiply(scratch, scratch, out=scratch)
-        return np.sum(scratch, axis=1, out=dist)
-
+    dist = np.empty((n, 1))
     chosen = [int(rng.integers(n))]
-    d2 = sq_dist_to(chosen[0]).copy()
+    d2 = sq_dists(Z, Z[chosen], scratch)[:, 0]
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -97,7 +94,7 @@ def kmeanspp_init(Z: np.ndarray, k: int, seed,
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         chosen.append(idx)
-        np.minimum(d2, sq_dist_to(idx), out=d2)
+        np.minimum(d2, sq_dists(Z, Z[[idx]], scratch, dist)[:, 0], out=d2)
     return Z[chosen].copy()
 
 
@@ -128,7 +125,7 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 300,
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        d2 = _sq_dists(Z, centers, scratch)
+        d2 = sq_dists(Z, centers, scratch)
         labels = np.argmin(d2, axis=1)      # ties -> lowest index
         own = d2[np.arange(n), labels]
         for j in range(k):

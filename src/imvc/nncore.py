@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kmeans import sq_dists
+
 _ACTIVATIONS = ("relu", "linear")
 
 # clamp for log() inside the cross-entropy; avoids -inf on saturated rows
@@ -91,8 +93,7 @@ class Autoencoder:
     output are linear so signed (standardized) data can be represented.
     """
 
-    def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer],
-                 view_index: int = 0):
+    def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer]):
         if not encoder or not decoder:
             raise DimensionError("encoder and decoder must be non-empty")
         if decoder[0].in_dim != encoder[-1].out_dim:
@@ -107,7 +108,6 @@ class Autoencoder:
                 raise DimensionError("decoder layer dims do not chain")
         self.encoder = encoder
         self.decoder = decoder
-        self.view_index = view_index
         self.flat_params = np.concatenate([p.ravel()
                                            for p in self.parameters()])
         for layer, (w, b) in zip(self.layers, _pairs(self.flat_params,
@@ -116,7 +116,7 @@ class Autoencoder:
 
     def __setstate__(self, state):
         # a deep copy copies the vector and each layer's view of it apart
-        self.__init__(state["encoder"], state["decoder"], state["view_index"])
+        self.__init__(state["encoder"], state["decoder"])
 
     @property
     def input_dim(self) -> int:
@@ -127,8 +127,8 @@ class Autoencoder:
         return self.encoder[-1].out_dim
 
     @classmethod
-    def create(cls, input_dim: int, hidden_dims: tuple[int, ...] = (128, 64),
-               seed=0, view_index: int = 0) -> "Autoencoder":
+    def create(cls, input_dim: int, hidden_dims: tuple[int, ...],
+               seed=0) -> "Autoencoder":
         """Glorot-uniform weights, zero biases, seeded."""
         rng = np.random.default_rng(seed)
         enc_dims = [input_dim, *hidden_dims]
@@ -140,7 +140,7 @@ class Autoencoder:
         for i, (fi, fo) in enumerate(zip(dec_dims, dec_dims[1:])):
             act = "linear" if i == len(dec_dims) - 2 else "relu"
             decoder.append(DenseLayer(glorot_uniform(fi, fo, rng), np.zeros(fo), act))
-        return cls(encoder, decoder, view_index=view_index)
+        return cls(encoder, decoder)
 
     @property
     def layers(self) -> list[DenseLayer]:
@@ -367,7 +367,7 @@ def soft_assignment(Z: np.ndarray, centers: np.ndarray, out=None, kernel=None,
     instead of allocated: `out` (n, k) gets the result s, `kernel` (n, k)
     the unnormalized a = 1 / (1 + |z - c|^2) that the gradient needs, and
     `diff` (n, d) and `rowsum` (n, 1) are scratch. The squared distances
-    are taken one center at a time through `diff`.
+    are k-means' `sq_dists`, taken through `diff`.
     """
     Z = np.asarray(Z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -377,17 +377,11 @@ def soft_assignment(Z: np.ndarray, centers: np.ndarray, out=None, kernel=None,
         raise DimensionError(
             f"embedding dim {Z.shape[1]} != center dim {centers.shape[1]}"
         )
-    if diff is None:
-        diff = np.empty_like(Z)
-    elif diff.shape != Z.shape:
+    if diff is not None and diff.shape != Z.shape:
         raise DimensionError(
             f"diff scratch is {diff.shape}, expected {Z.shape}"
         )
-    a = np.empty((Z.shape[0], centers.shape[0])) if kernel is None else kernel
-    for j, center in enumerate(centers):
-        np.subtract(Z, center, out=diff)
-        diff *= diff
-        np.sum(diff, axis=1, out=a[:, j])
+    a = sq_dists(Z, centers, scratch=diff, out=kernel)
     a += 1.0
     np.divide(1.0, a, out=a)
     return np.divide(a, np.sum(a, axis=1, keepdims=True, out=rowsum), out=out)

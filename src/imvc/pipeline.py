@@ -34,6 +34,10 @@ from .kmeans import kmeans as run_kmeans
 
 EMBED_DIMS = (128, 64)
 
+# each count field of PipelineConfig and its least value
+_COUNT_MINIMA = {"k": 2, "e1": 1, "e2": 1, "max_depth": 1, "min_num": 1,
+                 "seed": 0, "outer_cycles": 0}
+
 
 @dataclass
 class PipelineConfig:
@@ -49,33 +53,32 @@ class PipelineConfig:
     standardize: bool = False
 
     def validate(self) -> None:
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-        if self.e1 < 1 or self.e2 < 1:
-            raise ValueError("epoch counts must be at least 1")
+        """Reject a field of the wrong type or out of range, naming it:
+        counts are ints (not bools), lam and lr finite numbers."""
+        for name, least in _COUNT_MINIMA.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
+        for name in ("lam", "lr"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {value!r}")
         if self.lam < 0:
             raise ValueError("trade-off coefficient must be non-negative")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
-        if self.outer_cycles < 0:
-            raise ValueError("outer_cycles must be non-negative")
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"standardize must be a boolean, "
+                             f"got {self.standardize!r}")
 
 
 @dataclass
 class LabelSet:
     hard: np.ndarray         # (n,) ints in [0, k)
-    k: int
-
-    @classmethod
-    def from_hard(cls, hard: np.ndarray, k: int) -> "LabelSet":
-        return cls(hard=np.asarray(hard, dtype=np.int64), k=k)
-
-    @property
-    def indicator(self) -> np.ndarray:
-        """(n, k) one-hot of `hard`, built on each access."""
-        indicator = np.zeros((self.hard.shape[0], self.k), dtype=np.float64)
-        indicator[np.arange(self.hard.shape[0]), self.hard] = 1.0
-        return indicator
 
 
 @dataclass
@@ -266,8 +269,7 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     views = standardize(views, standardizer)
 
     autoencoders = [
-        nncore.Autoencoder.create(dim, EMBED_DIMS, seed=[config.seed, v, 1],
-                                  view_index=v)
+        nncore.Autoencoder.create(dim, EMBED_DIMS, seed=[config.seed, v, 1])
         for v, dim in enumerate(view_dims)
     ]
     workspaces = nncore.WorkspacePool()
@@ -283,7 +285,7 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     X = np.hstack(views)
     tree = dtree.build_tree(X, result.labels, config.max_depth, config.min_num,
                             k=config.k)
-    labels = LabelSet.from_hard(tree.predict_batch(X), config.k)
+    labels = LabelSet(tree.predict_batch(X))
     centers = [np.zeros((config.k, EMBED_DIMS[-1])) for _ in views]
     return ModelState(
         config=config,
@@ -302,9 +304,8 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
                   cycle: int = 0) -> None:
     """Retrain each view against the tree's one-hot outputs (Lr + lam*Lce)."""
     config = state.config
-    yhard = state.tree.predict_views(views)
-    state.labels = LabelSet.from_hard(yhard, config.k)
-    yind = state.labels.indicator
+    yhard = state.labels.hard       # set by initialize and tree_phase
+    yind = np.eye(config.k)[yhard]
 
     def seed(v):
         Z = state.autoencoders[v].forward(views[v])[0]
@@ -341,7 +342,7 @@ def tree_phase(state: ModelState, views: list[np.ndarray],
     state.kmeans_labels = perm[km]
     X = np.hstack(views)
     tao.optimize_tree(state.tree, X, state.kmeans_labels)
-    state.labels = LabelSet.from_hard(state.tree.predict_batch(X), config.k)
+    state.labels = LabelSet(state.tree.predict_batch(X))
     state.loss_history["tree"].append(
         int(np.sum(state.labels.hard != state.kmeans_labels))
     )

@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from imvc import data as dataio
 from imvc import pipeline
-from imvc.cli import main
+from imvc.cli import build_parser, main
 from imvc.pipeline import PipelineConfig
 
 from test_data import model_file
@@ -36,6 +40,20 @@ class TestSynth:
         assert manifest.n == 30
         assert len(views) == 2
         np.testing.assert_array_equal(np.bincount(truth), [15, 15])
+
+    def test_zero_width_view_fails_and_returns(self, tmp_path):
+        # a zero-width view once redrew its cluster means forever
+        src = os.path.dirname(os.path.dirname(dataio.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run(
+            [sys.executable, "-m", "imvc.cli", "synth", "--dims", "0",
+             "--out", str(tmp_path / "ds")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == ("error: view 0 has 0 features, expected at "
+                               "least 1\n")
+        assert not (tmp_path / "ds").exists()
 
 
 class TestEval:
@@ -73,6 +91,23 @@ class TestFitPredict:
                    str(dataset_dir / "manifest.json")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_string_view_path_fails_cleanly(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "name": "x", "n": 2, "views": [{"path": 0, "dim": 1}]}))
+        rc = main(["fit", str(manifest), "--k", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest {manifest} view 0 field 'path' is 0, expected "
+            f"a string\n")
+
+    def test_fit_flags_default_to_the_config(self):
+        args = build_parser().parse_args(["fit", "m.json", "--k", "3"])
+        for field in dataclasses.fields(PipelineConfig):
+            want = 3 if field.name == "k" else field.default
+            got = getattr(args, field.name)
+            assert (got, type(got)) == (want, type(want)), field.name
 
 
 class TestExplain:

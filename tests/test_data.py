@@ -13,7 +13,7 @@ from imvc import data as dataio
 from imvc import pipeline
 from imvc.dtree import build_tree, feature_attribution
 from imvc.pipeline import PipelineConfig
-from trees import internal_ids
+from trees import internal_ids, make_tree
 
 
 @pytest.fixture()
@@ -107,6 +107,53 @@ class TestLoadDataset:
         with pytest.raises(dataio.DatasetError,
                            match=r"labels: 1e\+20 at line 2 of"):
             dataio.load_labels(tmp_path / "y.csv")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [m], r"m.json is not a JSON object"),
+        (lambda m: dict(m, name=5), r"m.json field 'name' is 5, expected a "
+                                    r"string"),
+        (lambda m: {k: v for k, v in m.items() if k != "n"},
+         r"m.json is missing field 'n'"),
+        (lambda m: dict(m, n="2"), r"m.json field 'n' is '2', expected a "
+                                   r"positive integer"),
+        (lambda m: dict(m, n=True), r"m.json field 'n' is True"),
+        (lambda m: dict(m, views=[]), r"m.json field 'views' is \[\], "
+                                      r"expected a non-empty array"),
+        (lambda m: dict(m, views={"path": "v0.csv", "dim": 2}),
+         r"m.json field 'views' is \{.*expected a non-empty array"),
+        (lambda m: dict(m, views=[m["views"][0], "v1.csv"]),
+         r"m.json view 1 is not a JSON object"),
+        (lambda m: dict(m, views=[{"path": 5, "dim": 2}]),
+         r"m.json view 0 field 'path' is 5, expected a string"),
+        (lambda m: dict(m, views=[{"path": "v0.csv"}]),
+         r"m.json view 0 is missing field 'dim'"),
+        (lambda m: dict(m, views=[{"path": "v0.csv", "dim": 2.7}]),
+         r"m.json view 0 field 'dim' is 2.7, expected a positive integer"),
+        (lambda m: dict(m, views=[{"path": "v0.csv", "dim": 0}]),
+         r"m.json view 0 field 'dim' is 0, expected a positive integer"),
+        (lambda m: dict(m, labels_path=3),
+         r"m.json field 'labels_path' is 3, expected a string"),
+    ], ids=["array", "name-number", "no-n", "n-string", "n-boolean",
+            "views-empty", "views-object", "view-string", "path-number",
+            "no-dim", "dim-float", "dim-zero", "labels-path-number"])
+    def test_manifest_field_types_checked(self, tmp_path, edit, message):
+        (tmp_path / "v0.csv").write_text("1,2\n3,4\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(edit({
+            "name": "x", "n": 2, "views": [{"path": "v0.csv", "dim": 2}],
+        })))
+        with pytest.raises(dataio.DatasetError, match=message):
+            dataio.load_dataset(manifest)
+
+    def test_null_labels_path_means_no_labels(self, tmp_path):
+        (tmp_path / "v0.csv").write_text("1,2\n3,4\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "name": "x", "n": 2, "views": [{"path": "v0.csv", "dim": 2}],
+            "labels_path": None,
+        }))
+        _, truth, _ = dataio.load_dataset(manifest)
+        assert truth is None
 
     def test_integer_valued_labels_load(self, tmp_path):
         (tmp_path / "y.csv").write_text("0\n2.0\n-1\n")
@@ -434,9 +481,20 @@ class TestModelSerialization:
          "feature"),
         (lambda meta: dict(meta, standardizer=5),
          "field 'standardizer' is not a JSON array or null"),
+        (lambda meta: dict(meta, config=dict(meta["config"], lam=-1)),
+         "field 'config' is malformed: trade-off coefficient must be "
+         "non-negative"),
+        (lambda meta: dict(meta, config=dict(meta["config"], k="3")),
+         "field 'config' is malformed: k must be an integer, got '3'"),
+        (lambda meta: dict(meta, config=dict(meta["config"], max_depth=0)),
+         "field 'config' is malformed: max_depth must be at least 1"),
+        (lambda meta: dict(meta, config=dict(meta["config"], e1=0)),
+         "field 'config' is malformed: e1 must be at least 1"),
     ], ids=["empty-object", "array", "no-tree", "converged-string",
             "config-unknown-key", "view-dims-strings", "standardizer-short",
-            "standardizer-strings", "standardizer-number"])
+            "standardizer-strings", "standardizer-number",
+            "config-lam-negative", "config-k-string", "config-max-depth-zero",
+            "config-e1-zero"])
     def test_damaged_metadata_rejected_at_load(self, tmp_path, state, edit,
                                                message):
         model, _ = state
@@ -448,6 +506,20 @@ class TestModelSerialization:
                            match=f"damaged model file .*bad.imvc: metadata "
                                  f"{message}"):
             dataio.load_model(bad)
+
+    def test_tree_past_the_id_bound_is_not_saved(self, tmp_path, monkeypatch):
+        tree = make_tree({0: (0, 0.5, 1, 4), 1: 0, 4: 1}, k=2, feature_dim=1)
+        model = pipeline.ServedModel(config=PipelineConfig(k=2), tree=tree,
+                                     view_dims=[1])
+        monkeypatch.setattr(dataio, "_NODE_ID_END", 4)
+        path = tmp_path / "model.bin"
+        with pytest.raises(ValueError, match="node ids below 4; this tree "
+                                             "has id 4"):
+            dataio.save_model(model, path)
+        assert not path.exists()
+        monkeypatch.setattr(dataio, "_NODE_ID_END", 5)
+        dataio.save_model(model, path)
+        assert dataio.load_model(path).tree.ids() == [0, 1, 4]
 
     @pytest.mark.parametrize("field, value, message", [
         ("split_feature", 99, "splits on feature 99, outside \\[0, 6\\)"),

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from imvc import kmeans as kmeans_mod
-from imvc.kmeans import KMeansResult, _sq_dists, kmeans, kmeanspp_init, lloyd
+from imvc.kmeans import KMeansResult, kmeans, kmeanspp_init, lloyd, sq_dists
 
 
 def brute_force_sse(Z, k):
@@ -103,7 +103,7 @@ class TestLloyd:
             Z = 3.7 * rng.standard_normal((n, d))
             centers = rng.standard_normal((k, d))
             diff = Z[:, None, :] - centers[None, :, :]
-            np.testing.assert_array_equal(_sq_dists(Z, centers),
+            np.testing.assert_array_equal(sq_dists(Z, centers),
                                           np.sum(diff * diff, axis=2))
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import imvc
 from imvc import data as dataio
-from imvc import nncore, pipeline
+from imvc import dtree, nncore, pipeline
 from imvc.kmeans import KMeansResult
 from imvc.pipeline import PipelineConfig
 
@@ -77,6 +77,34 @@ class TestInitialize:
     def test_no_views_rejected_before_training(self, no_training):
         with pytest.raises(ValueError, match="at least one view"):
             pipeline.fit([], PipelineConfig(k=2))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"max_depth": 0}, "max_depth must be at least 1"),
+        ({"min_num": 0}, "min_num must be at least 1"),
+        ({"k": 1}, "k must be at least 2"),
+        ({"e2": 0}, "e2 must be at least 1"),
+        ({"seed": -1}, "seed must be at least 0"),
+        ({"outer_cycles": -1}, "outer_cycles must be at least 0"),
+        ({"k": "3"}, "k must be an integer, got '3'"),
+        ({"e1": True}, "e1 must be an integer, got True"),
+        ({"min_num": 2.0}, "min_num must be an integer, got 2.0"),
+        ({"lam": np.nan}, "lam must be a finite number, got nan"),
+        ({"lam": np.inf}, "lam must be a finite number, got inf"),
+        ({"lr": np.nan}, "lr must be a finite number, got nan"),
+        ({"lr": "0.01"}, "lr must be a finite number, got '0.01'"),
+        ({"lam": -0.5}, "trade-off coefficient must be non-negative"),
+        ({"lr": 0.0}, "learning rate must be positive"),
+        ({"standardize": 1}, "standardize must be a boolean, got 1"),
+    ], ids=["max-depth-zero", "min-num-zero", "k-one", "e2-zero",
+            "seed-negative", "cycles-negative", "k-string", "e1-boolean",
+            "min-num-float", "lam-nan", "lam-inf", "lr-nan", "lr-string",
+            "lam-negative", "lr-zero", "standardize-int"])
+    def test_bad_setting_rejected_before_training(self, no_training, change,
+                                                  message):
+        views = [np.arange(40.0).reshape(20, 2), np.ones((20, 1))]
+        config = PipelineConfig(**{"k": 2, "e1": 1, **change})
+        with pytest.raises(ValueError, match=message):
+            pipeline.fit(views, config)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_view_rejected_before_training(self, no_training, bad):
@@ -174,12 +202,13 @@ class TestViewPool:
         # would start view 2 only once view 0 had finished
         order = []
         real = nncore.Autoencoder.loss_and_grads
+        view_of_width = {3: 0, 8: 1, 5: 2}
 
-        def recording(ae, *args, **kwargs):
-            order.append(ae.view_index)
-            if ae.view_index == 1:
+        def recording(ae, X, *args, **kwargs):
+            order.append(view_of_width[X.shape[1]])
+            if order[-1] == 1:
                 time.sleep(0.005)
-            return real(ae, *args, **kwargs)
+            return real(ae, X, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 2)
         monkeypatch.setattr(nncore.Autoencoder, "loss_and_grads", recording)
@@ -329,12 +358,25 @@ class TestFeaturePhase:
         for trace in state.loss_history["feature"][0]:
             assert trace[-1] < trace[0]
 
-    def test_indicator_is_one_hot_and_consistent(self, fitted, small_dataset):
+    def test_views_are_not_routed_again(self, small_dataset, monkeypatch):
+        # the targets are state.labels, which initialize and tree_phase set
         views, _ = small_dataset
-        ind = fitted.labels.indicator
-        assert np.all(ind.sum(axis=1) == 1.0)
-        np.testing.assert_array_equal(np.argmax(ind, axis=1),
-                                      fitted.labels.hard)
+        config = PipelineConfig(k=3, e1=2, e2=2, min_num=5, seed=3)
+        state = pipeline.initialize(views, config)
+
+        def routed(*args, **kwargs):
+            raise AssertionError("feature_phase routed the views")
+
+        monkeypatch.setattr(dtree.DecisionTree, "predict_views", routed)
+        pipeline.feature_phase(state, [np.asarray(v, float) for v in views])
+        assert len(state.loss_history["feature"]) == 1
+
+    def test_indicator_is_one_hot_and_consistent(self, fitted, small_dataset):
+        # feature_phase's one-hot target is np.eye(k)[hard]: one in-range
+        # label per row
+        views, _ = small_dataset
+        hard = fitted.labels.hard
+        assert hard.dtype == np.int64 and np.all((0 <= hard) & (hard < 3))
         np.testing.assert_array_equal(fitted.labels.hard,
                                       fitted.predict(views))
 
