@@ -14,9 +14,11 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import operator
 import os
 import struct
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -93,33 +95,55 @@ def load_manifest(path) -> DatasetManifest:
                            labels_path=labels_path)
 
 
-def _load_csv_matrix(path: Path, what: str) -> np.ndarray:
-    if not path.exists():
-        raise DatasetError(f"{what}: file not found: {path}")
-    rows = []
+def _read_csv(source) -> np.ndarray:
+    """The float matrix numpy's C reader parses from `source`, a path or a
+    list of lines: comma-separated cells, no quotes, no comments."""
+    return np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
+                      dtype=np.float64)
+
+
+def _data_lines(path: Path, what: str) -> list[str]:
+    """The non-blank lines of `path`, once each has the first one's width
+    and parses; otherwise a DatasetError naming the first line that does
+    not. numpy's own errors count data rows, not lines."""
+    lines = []
     width = None
     with path.open() as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            cells = line.split(",")
+            cells = line.count(",") + 1
             if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+                width = cells
+            elif cells != width:
                 raise DatasetError(
                     f"{what}: ragged row at line {lineno} of {path} "
-                    f"({len(cells)} cells, expected {width})"
+                    f"({cells} cells, expected {width})"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                _read_csv([line])
             except ValueError:
                 raise DatasetError(
                     f"{what}: non-numeric cell at line {lineno} of {path}"
-                )
-    if not rows:
+                ) from None
+            lines.append(line)
+    return lines
+
+
+def _load_csv_matrix(path: Path, what: str) -> np.ndarray:
+    if not path.exists():
+        raise DatasetError(f"{what}: file not found: {path}")
+    with warnings.catch_warnings():
+        # numpy warns of input without data; the size test below reports it
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            mat = _read_csv(path)
+        except ValueError:
+            # a ragged row, a bad cell, or a whitespace-only line, which
+            # numpy reads as a row of one cell
+            mat = _read_csv(_data_lines(path, what))
+    if mat.size == 0:
         raise DatasetError(f"{what}: {path} is empty")
-    mat = np.asarray(rows, dtype=np.float64)
     if not np.isfinite(mat).all():
         row = int(np.argmin(np.isfinite(mat).all(axis=1)))
         raise DatasetError(
@@ -194,10 +218,12 @@ def synth_multiview(n_per_cluster: int, k: int, n_views: int, dims,
     if k < 2 or n_views < 1 or n_per_cluster < 1:
         raise ValueError("need k >= 2, n_views >= 1, n_per_cluster >= 1")
     if np.isscalar(dims):
-        dims = [int(dims)] * n_views
+        dims = [dims] * n_views
     if len(dims) != n_views:
         raise ValueError("dims must have one entry per view")
     for v, dim in enumerate(dims):
+        if not isinstance(dim, numbers.Integral):
+            raise ValueError(f"view {v} has width {dim}, expected an integer")
         if dim < 1:
             # a view without features has no distinct means to draw
             raise ValueError(f"view {v} has {dim} features, expected at "

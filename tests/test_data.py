@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from imvc import data as dataio
 from imvc import pipeline
@@ -24,6 +27,7 @@ def written_dataset(tmp_path):
     return manifest, views, truth
 
 
+@pytest.mark.filterwarnings("error")
 class TestLoadDataset:
     def test_round_trip_preserves_values(self, written_dataset):
         manifest, views, truth = written_dataset
@@ -161,6 +165,151 @@ class TestLoadDataset:
                                       [0, 2, -1])
 
 
+def reference_load_csv_matrix(path: Path, what: str) -> np.ndarray:
+    """The per-cell float() parser the reader replaced, kept as its oracle:
+    strip each line, skip it when blank, split on commas, parse with
+    float(). Python's float() also takes underscores and non-ASCII digits,
+    which the reader rejects, so inputs for it hold neither."""
+    rows, linenos = [], []
+    width = None
+    with path.open() as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise dataio.DatasetError(
+                    f"{what}: ragged row at line {lineno} of {path} "
+                    f"({len(cells)} cells, expected {width})"
+                )
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                raise dataio.DatasetError(
+                    f"{what}: non-numeric cell at line {lineno} of {path}"
+                )
+            linenos.append(lineno)
+    if not rows:
+        raise dataio.DatasetError(f"{what}: {path} is empty")
+    mat = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(mat).all():
+        row = int(np.argmin(np.isfinite(mat).all(axis=1)))
+        raise dataio.DatasetError(
+            f"{what}: non-finite value at line {linenos[row]} of {path}"
+        )
+    return mat
+
+
+def load_view(tmp_path, text: str, n: int = 2, dim: int = 2) -> np.ndarray:
+    """The one view of a manifest declaring (n, dim), whose CSV is `text`
+    written byte for byte."""
+    (tmp_path / "v0.csv").write_bytes(text.encode())
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "name": "x", "n": n, "views": [{"path": "v0.csv", "dim": dim}],
+    }))
+    views, _, _ = dataio.load_dataset(manifest)
+    return views[0]
+
+
+@st.composite
+def csv_views(draw):
+    """(n, dim, text) of a CSV holding n rows of dim finite floats, written
+    with %.17g or repr, with blank and whitespace-only lines between rows,
+    LF or CRLF line ends and spaces around the cells."""
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    fmt = draw(st.sampled_from(["%.17g".__mod__, repr]))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    blank = st.sampled_from(["", " ", " \t "])
+    end = st.sampled_from(["\n", "\r\n"])
+    text = ""
+    for _ in range(n):
+        for line in draw(st.lists(blank, max_size=2)):
+            text += line + draw(end)
+        row = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=dim, max_size=dim))
+        text += ",".join(draw(pad) + fmt(x) + draw(pad) for x in row)
+        text += draw(end)
+    for line in draw(st.lists(blank, max_size=2)):
+        text += draw(end) + line
+    return n, dim, text
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsvIngest:
+    """The CSV grammar and error lines of `load_dataset`'s view reader."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_views())
+    def test_arrays_match_the_reference_parser(self, tmp_path, case):
+        n, dim, text = case
+        view = load_view(tmp_path, text, n, dim)
+        expected = reference_load_csv_matrix(tmp_path / "v0.csv", "view 0")
+        assert view.dtype == expected.dtype
+        assert view.shape == expected.shape
+        assert view.tobytes() == expected.tobytes()
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.text(alphabet="0123456789,.e- \nainfx", max_size=30))
+    def test_short_texts_parse_or_name_file_and_line(self, tmp_path, text):
+        path = tmp_path / "v0.csv"
+        path.write_bytes(text.encode())
+        try:
+            expected = reference_load_csv_matrix(path, "view 0")
+        except dataio.DatasetError as exc:
+            expected = str(exc)
+        try:
+            got = dataio._load_csv_matrix(path, "view 0")
+        except dataio.DatasetError as exc:
+            assert str(exc) == expected
+            assert re.search(rf"(at line \d+ of|:) {re.escape(str(path))}",
+                             str(exc))
+        else:
+            assert isinstance(expected, np.ndarray), expected
+            assert got.tobytes() == expected.tobytes()
+            assert got.shape == expected.shape
+
+    def test_whitespace_only_line_is_skipped(self, tmp_path):
+        view = load_view(tmp_path, "1,2\n  \t \n3,4\n")
+        np.testing.assert_array_equal(view, [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"],
+                             ids=["empty", "blank-only"])
+    def test_file_without_data_is_empty(self, tmp_path, text):
+        with pytest.raises(dataio.DatasetError,
+                           match=r"view 0 \(v0.csv\): .*v0.csv is empty$"):
+            load_view(tmp_path, text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n# 3,4\n", r"non-numeric cell at line 2 of"),
+        ("1,2\n\n\n3\n", r"ragged row at line 4 of .*v0.csv "
+                          r"\(1 cells, expected 2\)"),
+        ("1,2\n   \n3,x\n", r"non-numeric cell at line 3 of"),
+        ("1,2\n3,4,\n", r"ragged row at line 2 of .*v0.csv "
+                        r"\(3 cells, expected 2\)"),
+        ("1,2,\n3,4,\n", r"non-numeric cell at line 1 of"),
+    ], ids=["comment-line", "ragged-after-blanks", "bad-after-whitespace",
+            "trailing-comma", "trailing-comma-first"])
+    def test_error_names_the_line(self, tmp_path, text, message):
+        with pytest.raises(dataio.DatasetError,
+                           match=r"view 0 \(v0.csv\): " + message):
+            load_view(tmp_path, text)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661"],
+                             ids=["underscore", "arabic-indic-digit"])
+    def test_cells_float_accepts_but_numpy_rejects(self, tmp_path, cell):
+        # float() takes both; the reader's grammar is numpy's, ASCII only
+        assert float(cell) in (1000.0, 1.0)
+        with pytest.raises(dataio.DatasetError,
+                           match=r"non-numeric cell at line 2 of"):
+            load_view(tmp_path, f"1,2\n3,{cell}\n")
+
+
 def standardize(view):
     return pipeline.apply_standardizer(view, *pipeline.fit_standardizer(view))
 
@@ -188,6 +337,14 @@ class TestSynth:
             for c in (0, 1):
                 members = view[truth == c]
                 assert np.all(members == members[0])
+
+    @pytest.mark.parametrize("n_views, dims, view", [(1, 2.7, 0),
+                                                     (2, [3, 2.7], 1)],
+                             ids=["scalar", "list"])
+    def test_fractional_width_rejected(self, n_views, dims, view):
+        with pytest.raises(ValueError, match=rf"^view {view} has width 2.7, "
+                                             r"expected an integer$"):
+            dataio.synth_multiview(5, 2, n_views, dims, 0.5, 0)
 
     def test_cluster_sizes(self):
         _, truth = dataio.synth_multiview(7, 3, 1, 2, noise=0.5, seed=2)
