@@ -78,7 +78,7 @@ def load_manifest(path) -> DatasetManifest:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise DatasetError(f"manifest not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetError(f"manifest {path} is not valid JSON: {exc}")
     where = f"manifest {path}"
     name = _manifest_field(raw, where, "name", _STRING)
@@ -105,10 +105,11 @@ def _read_csv(source) -> np.ndarray:
 def _data_lines(path: Path, what: str) -> list[str]:
     """The non-blank lines of `path`, once each has the first one's width
     and parses; otherwise a DatasetError naming the first line that does
-    not. numpy's own errors count data rows, not lines."""
+    not. numpy's own errors count data rows, not lines; a byte the locale
+    cannot decode stays in its line, as a cell numpy does not parse."""
     lines = []
     width = None
-    with path.open() as f:
+    with path.open(errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -10,15 +10,14 @@ epoch, so three views keep two CPUs busy to the end; a k-means restart is
 a job of one step (`once`), so the restarts balance across the workers
 however unequal they are.
 
-A k-means worker computes in numpy's own loops, so one worker per usable
-CPU fills the machine. An autoencoder worker spends its time in matmul,
-which numpy hands to OpenBLAS, and OpenBLAS may itself run each call on
-several threads; the views therefore get the CPUs divided by the BLAS
-thread count, which only OpenBLAS can report.
+`one_blas_thread` holds the OpenBLAS numpy bundles at one thread while
+a fit runs, so each worker's matmul runs on that worker's thread alone
+and its bits do not depend on the caller's BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import os
@@ -27,16 +26,6 @@ from collections import deque
 from pathlib import Path
 
 import numpy as np
-
-# The thread-count getter under the names numpy's wheels export it by:
-# from numpy 2.0 they bundle scipy-openblas, whose symbols carry a prefix
-# and, for 64-bit integers, a suffix; older wheels bundle plain OpenBLAS.
-_OPENBLAS_GETTERS = (
-    "scipy_openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
-)
 
 
 def usable_cpus() -> int:
@@ -47,15 +36,10 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def blas_threads() -> int | None:
-    """Threads numpy's matmul runs on, or None when that cannot be read.
-
-    Reads the OpenBLAS that numpy's wheel bundles in `numpy.libs`, the
-    library its matmul calls. Only an already loaded copy is opened, so
-    another OpenBLAS mapped into the process (scipy bundles its own) is
-    never the one read. numpy built against another BLAS, or a platform
-    without `RTLD_NOLOAD`, gives None.
-    """
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS in `numpy.libs`,
+    which numpy's matmul calls; None for numpy on another BLAS, or without
+    `RTLD_NOLOAD`. Only a loaded copy is opened, never scipy's own."""
     noload = getattr(os, "RTLD_NOLOAD", None)
     if noload is None:
         return None
@@ -65,14 +49,43 @@ def blas_threads() -> int | None:
             lib = ctypes.CDLL(str(path), mode=noload)
         except OSError:             # present on disk but not loaded
             continue
-        for name in _OPENBLAS_GETTERS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                threads = getter()
-                return threads if threads >= 1 else None
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
+
+
+_pin_lock = threading.Lock()        # one caller's count saved at a time
+# True in a context inside `one_blas_thread` while OpenBLAS is at one thread
+pinned = contextvars.ContextVar("imvc_blas_pinned", default=False)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread for the block, then
+    restore the caller's count, on an exception as well.
+
+    The count is process-wide, so overlapping blocks in other threads wait
+    for this one to end; a block inside it changes nothing. Where no
+    bundled OpenBLAS can be set, the block runs unpinned.
+    """
+    api = None if pinned.get() else _openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _pin_lock:
+        saved = get()
+        set_(1)
+        token = pinned.set(True)
+        try:
+            yield
+        finally:
+            pinned.reset(token)
+            set_(saved)
 
 
 def once(fn, *args):

@@ -15,10 +15,9 @@ order. Every view keeps its own parameters and Adam state and borrows a
 workspace from the phase's WorkspacePool for each epoch, so no more
 workspaces exist than threads and the floats do not depend on the worker
 count. The feature phase seeds every view's centers before any view
-trains. There are as many threads as the usable CPUs divided by the BLAS
-thread count: with BLAS at one thread the views train in parallel, and
-when BLAS already uses every CPU, or its thread count cannot be read,
-one worker steps the views in turn.
+trains. `fit` holds OpenBLAS at one thread, and there the views get a
+thread per usable CPU, at most one per view; where the bundled OpenBLAS
+cannot be set, one worker steps the views in turn.
 """
 
 from __future__ import annotations
@@ -194,12 +193,11 @@ def _embed_all(state: ModelState, views: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _view_workers(n_views: int) -> int:
-    """Threads for the views: the usable CPUs over the BLAS thread count,
-    at most one per view; one when the BLAS thread count is unknown."""
-    blas = parallel.blas_threads()
-    if blas is None:
+    """Threads for the views: one per usable CPU, at most one per view,
+    while OpenBLAS is held at one thread; otherwise one."""
+    if not parallel.pinned.get():
         return 1
-    return max(1, min(n_views, parallel.usable_cpus() // blas))
+    return max(1, min(n_views, parallel.usable_cpus()))
 
 
 def _map_views(job, n_views: int) -> list:
@@ -348,6 +346,7 @@ def tree_phase(state: ModelState, views: list[np.ndarray],
     )
 
 
+@parallel.one_blas_thread()
 def fit(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     """Initialization followed by alternating joint-optimization cycles.
 
@@ -355,6 +354,8 @@ def fit(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     partition stops changing, with k-means ids aligned to the tree's, so
     an unchanged partition gives identical hard labels. The cycles train
     on the views as `ServedModel.preprocess` prepares them for serving.
+    numpy's bundled OpenBLAS runs at one thread until `fit` returns; the
+    count is process-wide, so the caller's other threads see it too.
     """
     state = initialize(views, config)
     views = state.preprocess(views)

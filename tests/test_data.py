@@ -149,6 +149,13 @@ class TestLoadDataset:
         with pytest.raises(dataio.DatasetError, match=message):
             dataio.load_dataset(manifest)
 
+    def test_manifest_not_utf8_names_the_file(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(dataio.DatasetError,
+                           match=r"m.json is not valid JSON: 'utf-8' codec"):
+            dataio.load_dataset(manifest)
+
     def test_null_labels_path_means_no_labels(self, tmp_path):
         (tmp_path / "v0.csv").write_text("1,2\n3,4\n")
         manifest = tmp_path / "m.json"
@@ -169,10 +176,11 @@ def reference_load_csv_matrix(path: Path, what: str) -> np.ndarray:
     """The per-cell float() parser the reader replaced, kept as its oracle:
     strip each line, skip it when blank, split on commas, parse with
     float(). Python's float() also takes underscores and non-ASCII digits,
-    which the reader rejects, so inputs for it hold neither."""
+    which the reader rejects, so inputs for it hold neither. A byte the
+    locale cannot decode is kept in its line, where float() rejects it."""
     rows, linenos = [], []
     width = None
-    with path.open() as f:
+    with path.open(errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -255,10 +263,10 @@ class TestCsvIngest:
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.text(alphabet="0123456789,.e- \nainfx", max_size=30))
+    @given(st.text(alphabet="0123456789,.e- \nainfx\xff", max_size=30))
     def test_short_texts_parse_or_name_file_and_line(self, tmp_path, text):
         path = tmp_path / "v0.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(text.encode("latin-1"))    # \xff is not UTF-8
         try:
             expected = reference_load_csv_matrix(path, "view 0")
         except dataio.DatasetError as exc:

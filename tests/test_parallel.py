@@ -1,8 +1,9 @@
-"""The scheduler, CPU and BLAS thread counts, and the view workers' count.
+"""The scheduler, the CPU count, the one-thread OpenBLAS pin and the view
+workers' count.
 
-OpenBLAS reads OPENBLAS_NUM_THREADS once, when it loads, so each count is
-probed in a fresh interpreter. Every probe runs OpenBLAS at one or two
-threads.
+OpenBLAS reads OPENBLAS_NUM_THREADS once, when it loads, so each starting
+count is probed in a fresh interpreter. Every probe runs OpenBLAS at one
+or two threads.
 """
 
 import contextvars
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,61 +21,125 @@ import pytest
 import imvc
 from imvc import kmeans as kmeans_mod
 from imvc import parallel, pipeline
+from imvc.pipeline import PipelineConfig
 
-BUNDLED_OPENBLAS = bool(
-    list((Path(np.__file__).resolve().parent.parent / "numpy.libs")
-         .glob("*openblas*")))
+from test_training import training_digest
 
-# prints the probed BLAS thread count, then the view pool's size for three
-# views at 1 to 5 usable CPUs
+# the getter and setter of numpy's bundled OpenBLAS, or None
+OPENBLAS = parallel._openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None,
+                                    reason="numpy bundles no OpenBLAS")
+CALLERS_COUNT = 3       # the caller's count in these tests; the pin sets 1
+
+# prints the OpenBLAS count before a fit, then, for 1 to 5 usable CPUs, the
+# view workers and the OpenBLAS count inside a fit of three views, then the
+# count after the fits
 PROBE = """
 import json
+import numpy as np
 from imvc import parallel, pipeline
-workers = {}
+get, _ = parallel._openblas()
+before, inside = get(), {}
+real = pipeline._view_workers
+views = [np.arange(24.0).reshape(12, 2) % 5 for _ in range(3)]
 for cpus in range(1, 6):
     parallel.usable_cpus = lambda cpus=cpus: cpus
-    workers[cpus] = pipeline._view_workers(3)
-print(json.dumps([parallel.blas_threads(), workers]))
+    pipeline._view_workers = lambda n, cpus=cpus: inside.setdefault(
+        cpus, [real(n), get()])[0]
+    pipeline.fit(views, pipeline.PipelineConfig(k=2, e1=1, min_num=1,
+                                                outer_cycles=0))
+print(json.dumps([before, inside, get()]))
 """
 
 
-def probe(blas_threads: int):
+def subprocess_env(**threads):
+    """os.environ with src/ and tests/ on the path and `threads` as the
+    BLAS thread variables; a value of None unsets the variable."""
     src = str(Path(imvc.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+    env = dict(os.environ, OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
-                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    blas, workers = json.loads(done.stdout.splitlines()[-1])
-    return blas, {int(cpus): w for cpus, w in workers.items()}
+                   [src, str(Path(__file__).resolve().parent),
+                    *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for var, value in threads.items():
+        env.pop(var, None)
+        if value is not None:
+            env[var] = value
+    return env
 
 
-@pytest.mark.skipif(not BUNDLED_OPENBLAS, reason="numpy bundles no OpenBLAS")
+def run_python(code: str, **threads):
+    """The JSON that `code`, run in a fresh interpreter, prints last."""
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=subprocess_env(**threads), capture_output=True,
+                          text=True, timeout=300, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def probe(blas_threads: int):
+    before, inside, after = run_python(
+        PROBE, OPENBLAS_NUM_THREADS=str(blas_threads))
+    return before, {int(cpus): tuple(got) for cpus, got in inside.items()}, after
+
+
+@needs_openblas
 class TestBlasProbe:
     def test_one_blas_thread_gives_a_worker_per_cpu(self):
-        blas, workers = probe(1)
-        assert blas == 1
-        assert workers == {cpus: min(3, cpus) for cpus in range(1, 6)}
+        before, inside, after = probe(1)
+        assert before == after == 1
+        assert inside == {cpus: (min(3, cpus), 1) for cpus in range(1, 6)}
 
     @pytest.mark.skipif(parallel.usable_cpus() < 2,
                         reason="OpenBLAS caps its threads at the CPU count")
-    def test_two_blas_threads_halve_the_workers(self):
-        blas, workers = probe(2)
-        assert blas == 2
-        assert workers == {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}
+    def test_two_blas_threads_give_a_worker_per_cpu(self):
+        before, inside, after = probe(2)
+        assert before == after == 2
+        assert inside == {cpus: (min(3, cpus), 1) for cpus in range(1, 6)}
 
 
-def test_unreadable_blas_count_gives_one_worker(monkeypatch):
+def tiny_views(n_views=3, n=12):
+    rng = np.random.default_rng(5)
+    return [rng.standard_normal((n, 2)) for _ in range(n_views)]
+
+
+TINY = PipelineConfig(k=2, e1=2, e2=2, min_num=1, outer_cycles=1)
+
+
+def record_view_workers(monkeypatch):
+    """A list that collects (view workers, OpenBLAS count) at each call of
+    `pipeline._view_workers`; the count is None without OpenBLAS."""
+    seen, real = [], pipeline._view_workers
+
+    def recording(n_views):
+        seen.append((real(n_views), OPENBLAS and OPENBLAS[0]()))
+        return seen[-1][0]
+    monkeypatch.setattr(pipeline, "_view_workers", recording)
+    return seen
+
+
+@pytest.fixture()
+def callers_count():
+    """OpenBLAS set to CALLERS_COUNT threads for the test, and put back;
+    None without OpenBLAS."""
+    if OPENBLAS is None:
+        yield None
+        return
+    get, set_ = OPENBLAS
+    saved = get()
+    set_(CALLERS_COUNT)
+    try:
+        yield CALLERS_COUNT
+    finally:
+        set_(saved)
+
+
+def test_unreadable_blas_count_gives_one_worker(callers_count, monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
     monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
-    assert parallel.blas_threads() is None
-    assert pipeline._view_workers(3) == 1
-    monkeypatch.undo()
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
-    monkeypatch.setattr(parallel, "blas_threads", lambda: None)
-    assert pipeline._view_workers(3) == 1
+    assert parallel._openblas() is None
+    seen = record_view_workers(monkeypatch)
+    pipeline.fit(tiny_views(), TINY)
+    assert set(seen) == {(1, callers_count)}
+    assert (OPENBLAS and OPENBLAS[0]()) == callers_count
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
@@ -81,11 +147,81 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     assert parallel.usable_cpus() == (os.cpu_count() or 1)
 
 
+@needs_openblas
 def test_kmeans_and_view_pools_share_the_cpu_count(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
     assert kmeans_mod._worker_count(10) == 3
-    assert pipeline._view_workers(5) == 3
+    seen = record_view_workers(monkeypatch)
+    pipeline.fit(tiny_views(5), TINY)
+    assert set(seen) == {(3, 1)}
+    assert pipeline._view_workers(5) == 1       # outside fit
+
+
+@needs_openblas
+class TestBlasPin:
+    """`fit` holds OpenBLAS at one thread and gives the caller's count
+    back however it ends."""
+
+    def test_count_restored_after_a_fit(self, callers_count, monkeypatch):
+        seen = record_view_workers(monkeypatch)
+        pipeline.fit(tiny_views(), TINY)
+        assert {count for _, count in seen} == {1}
+        assert OPENBLAS[0]() == callers_count
+
+    def test_count_restored_after_a_failing_fit(self, callers_count,
+                                                monkeypatch):
+        def fail(*args, **kwargs):
+            assert OPENBLAS[0]() == 1
+            raise RuntimeError("training failed")
+        monkeypatch.setattr(pipeline, "_train_epochs", fail)
+        with pytest.raises(RuntimeError, match="training failed"):
+            pipeline.fit(tiny_views(), TINY)
+        assert OPENBLAS[0]() == callers_count
+        assert not parallel.pinned.get()
+
+    def test_count_restored_after_overlapping_fits(self, callers_count):
+        # the count is process-wide, so the later fit waits for the pin
+        views = tiny_views(n=40)
+        want = training_digest(pipeline.fit(views, TINY))
+        start = threading.Barrier(2, timeout=60)
+
+        def fit():
+            start.wait()
+            return training_digest(pipeline.fit(views, TINY))
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(fit) for _ in range(2)]
+            assert [f.result(timeout=120) for f in futures] == [want, want]
+        assert OPENBLAS[0]() == callers_count
+
+
+# fits the acceptance data's shape (3 views x 8 features, 600 rows) and
+# prints the sha256 of the model file and the training digest
+DIGESTS = """
+import hashlib, json, tempfile
+from pathlib import Path
+from imvc import data, pipeline
+from test_training import training_digest
+views, _ = data.synth_multiview(200, 3, 3, 8, 0.5, seed=42)
+state = pipeline.fit(views, pipeline.PipelineConfig(k=3, e1=5, e2=5,
+                                                    outer_cycles=1, seed=1))
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "model.bin"
+    data.save_model(state, path)
+    model = hashlib.sha256(path.read_bytes()).hexdigest()
+print(json.dumps([model, training_digest(state)]))
+"""
+
+
+@needs_openblas
+@pytest.mark.skipif(parallel.usable_cpus() < 2,
+                    reason="OpenBLAS caps its threads at the CPU count")
+def test_one_training_state_at_every_blas_thread_count():
+    # at 300 rows one and two threads happen to agree without the pin
+    got = {threads: tuple(run_python(DIGESTS, OPENBLAS_NUM_THREADS=threads))
+           for threads in ("1", "2", None)}
+    assert got["2"] == got["1"]
+    assert got[None] == got["1"]
 
 
 def stepper(log, i, steps):
