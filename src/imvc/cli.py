@@ -6,8 +6,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import data, metrics, pipeline
 
 
@@ -81,9 +79,11 @@ def _cmd_fit(args) -> int:
         for f in dataclasses.fields(pipeline.PipelineConfig)})
     state = pipeline.fit(views, config)
     data.save_model(state, args.out)
+    clusters = len(set(state.labels.hard.tolist()))
     print(f"model written to {args.out} "
           f"(cycles={state.cycles_run}, converged={state.converged}, "
-          f"tree nodes={state.tree.n_nodes})")
+          f"tree nodes={state.tree.n_nodes}, "
+          f"clusters={clusters} of {state.config.k})")
     return 0
 
 

@@ -6,18 +6,16 @@ deterministic for a fixed seed; restarts are ranked by (sse, restart).
 The restarts of one `kmeans` call run concurrently, as one-step jobs on
 `parallel.run`'s scheduler with a worker per usable CPU: a worker that
 finishes a short restart takes the next one from the queue, so unequal
-restarts still keep every worker busy. A restart's distances, SSE and
-seeding distances all go through one (n, d) scratch buffer that it
-borrows for its run; the calling thread allocates one buffer per worker
-before any work starts, so that worker threads do not grow malloc arenas
-of their own for them. Every restart draws from its own seeded stream and
-the results are ranked in restart order, so the result does not depend
-on the number of workers.
+restarts still keep every worker busy. A restart allocates the one (n, d)
+scratch buffer that its distances, SSE and seeding distances go through,
+and borrows nothing, so at most one buffer per running restart exists.
+Every restart draws from its own seeded stream and the results are
+ranked in restart order, so the result does not depend on the number of
+workers.
 """
 
 from __future__ import annotations
 
-import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,21 +118,19 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 300,
         raise ValueError(f"cannot fit {k} clusters to {n} points")
     if scratch is None:
         scratch = np.empty_like(Z)
-    labels = np.zeros(n, dtype=np.int64)
     history: list[float] = []
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         d2 = sq_dists(Z, centers, scratch)
         labels = np.argmin(d2, axis=1)      # ties -> lowest index
         own = d2[np.arange(n), labels]
-        for j in range(k):
-            if not np.any(labels == j):
-                shared = np.bincount(labels, minlength=k)[labels] > 1
-                far = int(np.argmax(np.where(shared, own, -1.0)))
-                centers[j] = Z[far]
-                labels[far] = j
-                own = np.sum(_residual_sq(Z, centers, labels, scratch), axis=1)
+        # a re-seed takes its row from a cluster with another member, so it
+        # never empties a cluster later in this loop
+        for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
+            shared = np.bincount(labels, minlength=k)[labels] > 1
+            far = int(np.argmax(np.where(shared, own, -1.0)))
+            centers[j] = Z[far]
+            labels[far] = j
+            own = np.sum(_residual_sq(Z, centers, labels, scratch), axis=1)
         new_centers = np.empty_like(centers)
         for j in range(k):
             new_centers[j] = Z[labels == j].mean(axis=0)
@@ -145,24 +141,16 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 300,
         if shift < tol:
             break
     return KMeansResult(labels=labels, centers=centers, sse=history[-1],
-                        iterations=iterations, sse_history=history)
-
-
-def _worker_count(n_restarts: int) -> int:
-    """Threads for the restarts: one per usable CPU, at most one per restart."""
-    return max(1, min(parallel.usable_cpus(), n_restarts))
+                        iterations=len(history), sse_history=history)
 
 
 def _run_restart(Z: np.ndarray, k: int, seed, r: int, max_iter: int,
-                 tol: float, scratches: queue.SimpleQueue) -> KMeansResult:
-    """Restart r through a scratch buffer borrowed from `scratches`."""
-    scratch = scratches.get()
-    try:
-        rng = np.random.default_rng([seed, r])
-        centers = kmeanspp_init(Z, k, rng, scratch=scratch)
-        return lloyd(Z, centers, max_iter=max_iter, tol=tol, scratch=scratch)
-    finally:
-        scratches.put(scratch)
+                 tol: float) -> KMeansResult:
+    """Restart r, through a scratch buffer of its own."""
+    scratch = np.empty_like(Z)
+    rng = np.random.default_rng([seed, r])
+    centers = kmeanspp_init(Z, k, rng, scratch=scratch)
+    return lloyd(Z, centers, max_iter=max_iter, tol=tol, scratch=scratch)
 
 
 def kmeans(Z: np.ndarray, k: int, seed, n_restarts: int = 10,
@@ -173,14 +161,8 @@ def kmeans(Z: np.ndarray, k: int, seed, n_restarts: int = 10,
         raise ValueError(f"invalid k={k} for {Z.shape[0]} points")
     if n_restarts < 1:
         raise ValueError("n_restarts must be at least 1")
-    workers = _worker_count(n_restarts)
-    # at most one restart per worker runs at a time, so a buffer per worker
-    # is always free
-    scratches = queue.SimpleQueue()
-    for _ in range(workers):
-        scratches.put(np.empty_like(Z))
     results = parallel.run(
-        [parallel.once(_run_restart, Z, k, seed, r, max_iter, tol, scratches)
-         for r in range(n_restarts)], workers)
+        [parallel.once(_run_restart, Z, k, seed, r, max_iter, tol)
+         for r in range(n_restarts)], parallel.usable_cpus())
     # min keeps the first of equal sse values: ties go to the lower restart
     return min(results, key=lambda result: result.sse)

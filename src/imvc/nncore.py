@@ -459,7 +459,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
         raise DimensionError("params/grads/state lengths differ")
     for g, (_, _, finite) in zip(grads, state.scratch):
         if not np.isfinite(g, out=finite).all():
-            raise FloatingPointError("non-finite gradient in adam_step")
+            raise FloatingPointError("non-finite gradient")
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step

@@ -211,11 +211,13 @@ def _map_views(job, n_views: int) -> list:
 
 def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
                   lr: float, workspaces: nncore.WorkspacePool, yind=None,
-                  centers=None, lam: float = 0.0):
+                  centers=None, lam: float = 0.0, view: int = 0,
+                  phase: str = "pretraining"):
     """Train one view, yielding after each epoch; returns the loss history.
 
     Each epoch borrows a workspace from `workspaces` and gives it back
-    before the yield.
+    before the yield. A non-finite gradient raises FloatingPointError
+    naming the view, the phase and the 1-based epoch.
     """
     X = np.asarray(X, dtype=np.float64)
     params = [ae.flat_params]
@@ -225,13 +227,17 @@ def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
     adam = nncore.AdamState.create(params, lr=lr)
     k = centers.shape[0] if train_centers and yind is not None else 0
     history = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         with workspaces.lend(ae, X.shape[0], k) as ws:
             recon, ce, _, cgrad = ae.loss_and_grads(X, yind=yind,
                                                     centers=centers, lam=lam,
                                                     ws=ws)
             grads = [ws.flat_grads, cgrad] if train_centers else [ws.flat_grads]
-            nncore.adam_step(params, grads, adam)
+            try:
+                nncore.adam_step(params, grads, adam)
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"view {view}: {exc} in {phase} epoch {epoch}") from exc
         history.append(nncore.combined_loss(recon, ce, lam))
         yield
     return history
@@ -273,7 +279,7 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     workspaces = nncore.WorkspacePool()
     pretrain_losses = _map_views(
         lambda v: _train_epochs(autoencoders[v], views[v], config.e1,
-                                config.lr, workspaces),
+                                config.lr, workspaces, view=v),
         len(views))
     del workspaces      # freed before k-means allocates its buffers
 
@@ -314,10 +320,12 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
     # activations are never allocated beside the lent workspaces
     state.centers = _map_views(lambda v: parallel.once(seed, v), len(views))
     workspaces = nncore.WorkspacePool()
+    phase = f"cycle {cycle + 1} feature-phase"
     traces = _map_views(
         lambda v: _train_epochs(state.autoencoders[v], views[v], config.e2,
                                 config.lr, workspaces, yind=yind,
-                                centers=state.centers[v], lam=config.lam),
+                                centers=state.centers[v], lam=config.lam,
+                                view=v, phase=phase),
         len(views))
     state.loss_history["feature"].append(traces)
 

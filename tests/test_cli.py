@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,26 @@ class TestFitPredict:
         assert capsys.readouterr().err == (
             f"error: manifest {manifest} view 0 field 'path' is 0, expected "
             f"a string\n")
+
+    def test_fit_reports_the_clusters_used(self, tmp_path, capsys):
+        # the method may leave clusters empty: a constant view gives one
+        manifest = dataio.write_dataset(tmp_path / "ds", [np.ones((60, 4))])
+        out = tmp_path / "model.bin"
+        rc = main(["fit", str(manifest), "--k", "3", "--e1", "2", "--e2", "2",
+                   "--cycles", "1", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.endswith(", clusters=1 of 3)\n")
+
+    def test_non_finite_gradient_names_view_and_epoch(self, tmp_path, capsys):
+        view = 1e200 * np.random.default_rng(0).standard_normal((60, 4))
+        manifest = dataio.write_dataset(tmp_path / "ds", [view])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["fit", str(manifest), "--k", "3", "--e1", "3",
+                       "--e2", "3", "--out", str(tmp_path / "model.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: view 0: non-finite gradient in pretraining epoch 1\n")
 
     def test_fit_flags_default_to_the_config(self):
         args = build_parser().parse_args(["fit", "m.json", "--k", "3"])

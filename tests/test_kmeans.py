@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from imvc import kmeans as kmeans_mod
+from imvc import parallel
 from imvc.kmeans import KMeansResult, kmeans, kmeanspp_init, lloyd, sq_dists
 
 
@@ -153,9 +154,9 @@ class TestFewerDistinctRowsThanK:
 
 
 # ---------------------------------------------------------------------------
-# Sequential k-means as it was before the restarts ran on a thread pool
-# through caller-owned buffers: every intermediate is a fresh array. The
-# concurrent `kmeans` must reproduce it bit for bit.
+# Sequential k-means as it was before the restarts ran concurrently through
+# scratch buffers: every intermediate is a fresh array. The concurrent
+# `kmeans` must reproduce it bit for bit.
 
 class ReseedRuleChanged(Exception):
     """The reference is about to re-seed from a one-member cluster.
@@ -250,7 +251,7 @@ def assert_same_result(got, want):
 
 
 def kmeans_with_workers(workers, *args, **kwargs):
-    with mock.patch.object(kmeans_mod, "_worker_count", lambda n: workers):
+    with mock.patch.object(parallel, "usable_cpus", lambda: workers):
         return kmeans(*args, **kwargs)
 
 
@@ -336,10 +337,6 @@ class TestConcurrentRestartsOracle:
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 kmeans_with_workers(2, Z, 2, seed=0)
-
-    def test_worker_count_is_capped_by_restarts(self):
-        assert kmeans_mod._worker_count(1) == 1
-        assert 1 <= kmeans_mod._worker_count(10) <= 10
 
     def test_no_restarts_rejected(self):
         with pytest.raises(ValueError):

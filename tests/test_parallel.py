@@ -7,6 +7,7 @@ or two threads.
 """
 
 import contextvars
+import itertools
 import json
 import os
 import subprocess
@@ -150,7 +151,20 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
 @needs_openblas
 def test_kmeans_and_view_pools_share_the_cpu_count(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
-    assert kmeans_mod._worker_count(10) == 3
+    threads, real_lloyd = set(), kmeans_mod.lloyd
+    calls = itertools.count()
+    # the first three restarts wait for each other, so they hold three
+    # threads at once
+    first_three = threading.Barrier(3, timeout=60)
+
+    def recording_lloyd(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        if next(calls) < 3:
+            first_three.wait()
+        return real_lloyd(*args, **kwargs)
+    monkeypatch.setattr(kmeans_mod, "lloyd", recording_lloyd)
+    kmeans_mod.kmeans(np.arange(60.0).reshape(20, 3) % 7, 2, seed=0)
+    assert threads == {f"imvc-worker-{w}" for w in range(3)}
     seen = record_view_workers(monkeypatch)
     pipeline.fit(tiny_views(5), TINY)
     assert set(seen) == {(3, 1)}
@@ -328,6 +342,24 @@ class TestScheduler:
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 run_bounded([job() for _ in range(3)], 2)
+
+    def test_more_workers_than_jobs_start_one_thread_per_job(self,
+                                                             monkeypatch):
+        started = []
+
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
+        log = []
+        assert run_bounded([stepper(log, i, 5) for i in range(3)], 8) == [
+            0, 1, 2]
+        assert sorted(name for name in started
+                      if name.startswith("imvc-worker-")) == [
+            f"imvc-worker-{w}" for w in range(3)]
+        assert {name for _, _, name in log} <= set(started)
 
     def test_once_is_a_job_of_one_step(self):
         assert run_bounded([parallel.once(divmod, 7, i) for i in (1, 2, 3)],

@@ -570,6 +570,34 @@ def test_non_finite_entry_is_named_by_view_and_row(rows, bad):
         pipeline._check_finite(view, 2)
 
 
+class TestNonFiniteGradient:
+    """A finite view whose gradients overflow fails naming the view, the
+    phase and the 1-based epoch."""
+
+    @staticmethod
+    def view(scale=1.0):
+        return scale * np.random.default_rng(0).standard_normal((60, 4))
+
+    def test_pretraining(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(FloatingPointError) as info:
+                pipeline.fit([self.view(), self.view(1e200)],
+                             PipelineConfig(k=3, e1=3, e2=3))
+        assert str(info.value) == (
+            "view 1: non-finite gradient in pretraining epoch 1")
+
+    def test_feature_phase(self):
+        state = pipeline.initialize([self.view()],
+                                    PipelineConfig(k=3, e1=3, e2=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(FloatingPointError) as info:
+                pipeline.feature_phase(state, [self.view(1e200)], cycle=1)
+        assert str(info.value) == (
+            "view 0: non-finite gradient in cycle 2 feature-phase epoch 1")
+
+
 def test_fit_reproducible_bytes(tmp_path, small_dataset):
     views, _ = small_dataset
     config = PipelineConfig(k=3, e1=10, e2=10, min_num=5, seed=9,
