@@ -41,6 +41,11 @@ _ACTIVATIONS = ("relu", "linear")
 # clamp for log() inside the cross-entropy; avoids -inf on saturated rows
 LOG_EPS = 1e-12
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # A ufunc that broadcasts an operand (the bias add, the soft assignment's
 # center row) or casts one (the ReLU's bool mask) allocates an
 # iterator buffer of numpy's bufsize elements per such operand, 64 KB at
@@ -411,39 +416,31 @@ def combined_loss(recon: float, ce: float, lam: float) -> float:
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments plus shared hyperparameters.
+    """Per-parameter Adam moments, the step count and the learning rate.
 
-    `scratch` holds, per parameter, two float arrays and a bool array of
-    its shape, which adam_step reuses instead of allocating.
+    `scratch` holds, per parameter, two float arrays of its shape, which
+    adam_step reuses instead of allocating.
     """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    scratch: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(
         default_factory=list, repr=False)
 
     def __post_init__(self):
         if not self.scratch:
-            self.scratch = [
-                (np.empty_like(m), np.empty_like(m), np.empty(m.shape, dtype=bool))
-                for m in self.m
-            ]
+            self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
 
     @classmethod
-    def create(cls, params: list[np.ndarray], lr: float = 0.001,
-               beta1: float = 0.9, beta2: float = 0.999,
-               eps: float = 1e-8) -> "AdamState":
+    def create(cls, params: list[np.ndarray], lr: float = 0.001) -> "AdamState":
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+            lr=lr,
         )
 
 
@@ -451,29 +448,36 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: AdamState) -> None:
     """One in-place Adam update with bias correction.
 
-    Every gradient is checked finite before any parameter or moment
-    changes. Evaluates m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    Before any parameter or moment changes, every gradient's squared norm
+    is checked finite, so no g g below can overflow: a NaN or ±inf entry
+    raises FloatingPointError("non-finite gradient"), and a finite gradient
+    whose squared norm overflows FloatingPointError("overflowing gradient").
+    Evaluates m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p -= lr (m / bc1) / (sqrt(v / bc2) + eps) in the state's scratch.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise DimensionError("params/grads/state lengths differ")
-    for g, (_, _, finite) in zip(grads, state.scratch):
-        if not np.isfinite(g, out=finite).all():
-            raise FloatingPointError("non-finite gradient")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in grads:
+            flat = g.reshape(-1)
+            if not np.isfinite(np.dot(flat, flat)):
+                if np.isfinite(flat).all():
+                    raise FloatingPointError("overflowing gradient")
+                raise FloatingPointError("non-finite gradient")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
-    for p, g, m, v, (t, den, _) in zip(params, grads, state.m, state.v,
-                                       state.scratch):
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=t)
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=t)
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
+    for p, g, m, v, (t, den) in zip(params, grads, state.m, state.v,
+                                    state.scratch):
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=t)
         v += np.multiply(t, g, out=t)
         np.divide(m, bc1, out=t)
         t *= state.lr
         np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
-        den += state.eps
+        den += ADAM_EPS
         t /= den
         p -= t

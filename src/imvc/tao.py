@@ -5,8 +5,8 @@ pseudo-label of the instances reaching them, internal nodes re-pick
 their (feature, threshold) to minimize misrouting of the "care"
 instances (those whose final label depends on the left/right choice),
 exactly, in O(n log n) time per feature for the n instances at a node.
-The pass ends with empty-branch pruning and instance reallocation;
-the outer loop feeds the tree its own predictions until nothing moves.
+The pass ends with empty-branch pruning and instance reallocation. A tree
+phase runs one pass; a second one could not change the tree (optimize_tree).
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ import numpy as np
 
 from .dtree import DecisionTree, _majority
 
-MAX_SELF_LABEL_ITERATIONS = 50
+MAX_SELF_LABEL_ITERATIONS = 50  # read only by perfbench/tracer.py
 
 
 @dataclass(eq=False)
 class CareSet:
-    """The care instances of one node, as parallel arrays; `len` is their
-    number."""
+    """The care instances of one node as parallel arrays; `len` counts them."""
     rows: np.ndarray             # indices into X, in the order of the reach set
     correct_left: np.ndarray     # True where only the left subtree is right
 
@@ -189,18 +188,10 @@ def prune_and_reallocate(tree: DecisionTree,
     return tree.n_nodes != before, pruned
 
 
-def optimize_tree(tree: DecisionTree, X: np.ndarray, Y_init,
-                  max_iterations: int = MAX_SELF_LABEL_ITERATIONS) -> DecisionTree:
-    """Iterate tao_pass on self-generated labels until structural stability.
-
-    The first pass uses the supplied pseudo-labels; later passes use the
-    tree's own predictions from the previous iteration.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(Y_init, dtype=np.int64)
-    for _ in range(max_iterations):
-        changed = tao_pass(tree, X, labels)
-        if not changed:
-            break
-        labels = tree.predict_batch(X)
+def optimize_tree(tree: DecisionTree, X: np.ndarray, Y) -> DecisionTree:
+    """Refine tree in place by one tao_pass against the pseudo-labels Y. A
+    second pass against the tree's own predictions changes nothing: every
+    leaf holds its rows' label, every split sends each care row to the one
+    child that predicts it, and pruning left no branch empty."""
+    tao_pass(tree, X, Y)
     return tree

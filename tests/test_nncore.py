@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,23 @@ class TestAdam:
         state = AdamState.create([p])
         with pytest.raises(FloatingPointError):
             adam_step([p], [np.array([np.nan])], state)
+
+    @pytest.mark.parametrize("g, message", [
+        ([1.0, np.nan], "non-finite gradient"),
+        ([-np.inf, 1.0], "non-finite gradient"),
+        ([1e200, 1.0], "overflowing gradient"),
+        ([1e154] * 100, "overflowing gradient"),  # only the sum overflows
+    ])
+    def test_bad_gradient_raises_before_any_change(self, g, message):
+        p = np.ones(len(g))
+        state = AdamState.create([p])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match=f"^{message}$"):
+                adam_step([p], [np.array(g)], state)
+        np.testing.assert_array_equal(p, 1.0)
+        assert state.step == 0
+        assert not state.m[0].any() and not state.v[0].any()
 
 
 def test_training_is_deterministic_for_fixed_seed():

@@ -1,9 +1,11 @@
 """The benchmark's tracer still hooks into imvc.
 
-`perfbench/tracer.install` wraps imvc's functions by name and its meters
-read `state.labels.hard`, so a rename in `src/` would leave the benchmark
-recording nothing, or failing, without any test here noticing. This test
-installs the tracer on a tiny fit and its read path, as the benchmark does.
+`perfbench/tracer.install` wraps imvc's functions by name, its meters
+read `state.labels.hard`, and `layer_metrics` imports
+`tao.MAX_SELF_LABEL_ITERATIONS`, so a rename in `src/` would leave the
+benchmark recording nothing, or failing, without any test here noticing.
+This test installs the tracer on a tiny fit and its read path, as the
+benchmark does, and computes the per-layer metrics from the fit's spans.
 """
 
 import importlib.util
@@ -41,6 +43,7 @@ def test_tracer_records_the_layers_and_restores_every_patch(tracer_module):
     try:
         state = pipeline.fit(views, PipelineConfig(k=3, e1=2, e2=2, min_num=2,
                                                    outer_cycles=1))
+        fit_spans = len(tracer.spans)
         state.predict(views)
         pipeline.explain(state, [view[0] for view in views])
     finally:
@@ -53,3 +56,10 @@ def test_tracer_records_the_layers_and_restores_every_patch(tracer_module):
     assert len(patches) == 22
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original
+
+    ops = [{"kind": "fit", "s": 1.0, "spans": [0, fit_spans]},
+           {"kind": "read", "s": 0.1, "spans": [fit_spans, fit_spans]}]
+    metrics = tracer_module.layer_metrics(tracer.spans, ops, state.tree)
+    assert set(metrics) == set(tracer_module.PER_LAYER)
+    assert metrics["tao.passes"] == state.cycles_run
+    assert metrics["tao.cap_hits"] == 0

@@ -597,6 +597,16 @@ class TestNonFiniteGradient:
         assert str(info.value) == (
             "view 0: non-finite gradient in cycle 2 feature-phase epoch 1")
 
+    def test_overflowing_gradient_raises_without_a_warning(self):
+        # every gradient entry is finite, but Adam's g g would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError) as info:
+                pipeline.fit([self.view(1e150)],
+                             PipelineConfig(k=3, e1=3, e2=3, outer_cycles=2))
+        assert str(info.value) == (
+            "view 0: overflowing gradient in pretraining epoch 1")
+
 
 def test_fit_reproducible_bytes(tmp_path, small_dataset):
     views, _ = small_dataset

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imvc import tao
 from imvc.data import doc_to_tree, tree_to_doc
 from imvc.dtree import build_tree
 from imvc.tao import (
@@ -302,6 +303,41 @@ class TestTaoPass:
                 prev = cur
 
 
+def tree_arrays(tree):
+    """The root and all seven node arrays, holes included."""
+    return (tree.root, *(getattr(tree, name).tolist() for name in (
+        "feature", "threshold", "left", "right", "label", "count", "depth")))
+
+
+@st.composite
+def built_trees(draw):
+    """A CART tree on float or integer-grid rows, random build labels, and
+    random target labels for TAO."""
+    n = draw(st.integers(1, 120))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+    else:
+        X = rng.standard_normal((n, d))
+    tree = build_tree(X, rng.integers(0, k, size=n),
+                      max_depth=draw(st.integers(1, 6)),
+                      min_num=draw(st.integers(1, 5)), k=k)
+    return tree, X, rng.integers(0, k, size=n)
+
+
+class TestSelfLabelledPass:
+    @settings(max_examples=300, deadline=None)
+    @given(built_trees())
+    def test_pass_on_own_predictions_changes_nothing(self, case):
+        tree, X, Y = case
+        tao_pass(tree, X, Y)
+        after = tree_arrays(tree)
+        assert not tao_pass(tree, X, tree.predict_batch(X))
+        assert tree_arrays(tree) == after
+
+
 # Rows for `stacked_one_sided_tree`: all that reach node 1 go left and all
 # that reach node 3 go right, so pruning splices out 1 and 3 and leaves
 # ids 1, 3, 4 and 5 as holes.
@@ -385,6 +421,19 @@ class TestPrune:
 
 
 class TestOptimizeTree:
+    def test_runs_one_pass(self, monkeypatch):
+        calls = []
+        real_pass = tao.tao_pass
+
+        def counting_pass(*args):
+            calls.append(real_pass(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(tao, "tao_pass", counting_pass)
+        tree, X, Y = toy_three_label_instance()
+        optimize_tree(tree, X, Y)
+        assert calls == [True]
+
     def test_single_leaf_converges_immediately(self):
         X = np.zeros((4, 1))
         tree = build_tree(X, [1, 1, 1, 1], max_depth=3, min_num=1)

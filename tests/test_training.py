@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imvc import nncore, parallel, pipeline
-from imvc.nncore import LOG_EPS, AdamState, Autoencoder, Workspace, adam_step
+from imvc.nncore import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_EPS, AdamState,
+                         Autoencoder, Workspace, adam_step)
 
 
 def train_view(ae, X, epochs, lr, yind=None, centers=None, lam=0.0):
@@ -90,14 +91,14 @@ def reference_adam_step(params, grads, state):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient in adam_step")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def reference_train_view(ae, X, epochs, lr, yind=None, centers=None, lam=0.0):
