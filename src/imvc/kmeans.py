@@ -144,17 +144,15 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 300,
                         iterations=len(history), sse_history=history)
 
 
-def _run_restart(Z: np.ndarray, k: int, seed, r: int, max_iter: int,
-                 tol: float) -> KMeansResult:
+def _run_restart(Z: np.ndarray, k: int, seed, r: int) -> KMeansResult:
     """Restart r, through a scratch buffer of its own."""
     scratch = np.empty_like(Z)
     rng = np.random.default_rng([seed, r])
     centers = kmeanspp_init(Z, k, rng, scratch=scratch)
-    return lloyd(Z, centers, max_iter=max_iter, tol=tol, scratch=scratch)
+    return lloyd(Z, centers, scratch=scratch)
 
 
-def kmeans(Z: np.ndarray, k: int, seed, n_restarts: int = 10,
-           max_iter: int = 300, tol: float = 1e-4) -> KMeansResult:
+def kmeans(Z: np.ndarray, k: int, seed, n_restarts: int = 10) -> KMeansResult:
     """Best of n_restarts seeded runs; winner by (sse, restart index)."""
     Z = np.asarray(Z, dtype=np.float64)
     if k < 1 or k > Z.shape[0]:
@@ -162,7 +160,7 @@ def kmeans(Z: np.ndarray, k: int, seed, n_restarts: int = 10,
     if n_restarts < 1:
         raise ValueError("n_restarts must be at least 1")
     results = parallel.run(
-        [parallel.once(_run_restart, Z, k, seed, r, max_iter, tol)
-         for r in range(n_restarts)], parallel.usable_cpus())
+        [parallel.once(_run_restart, Z, k, seed, r) for r in range(n_restarts)],
+        parallel.usable_cpus())
     # min keeps the first of equal sse values: ties go to the lower restart
     return min(results, key=lambda result: result.sse)

@@ -1,7 +1,8 @@
 """Dense feed-forward autoencoders with hand-written gradients.
 
 Everything here is plain numpy (float64). Each view gets its own
-autoencoder; the encoder output is the embedding used downstream.
+autoencoder; `forward` runs the encoder alone and returns the embedding
+used downstream; the decoder serves only the reconstruction loss.
 Losses: sum-of-squares reconstruction, cross-entropy against a one-hot
 target through a Student's-t soft assignment, and their weighted sum.
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,19 +59,15 @@ class DimensionError(ValueError):
     """Shapes of inputs/parameters do not line up."""
 
 
-@dataclass
 class DenseLayer:
     """One fully connected layer: out = act(x @ w + b)."""
 
-    w: np.ndarray  # (in_dim, out_dim)
-    b: np.ndarray  # (out_dim,)
-    activation: str = "relu"
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+    def __init__(self, w, b, activation: str = "relu"):
+        self.w = np.asarray(w, dtype=np.float64)    # (in_dim, out_dim)
+        self.b = np.asarray(b, dtype=np.float64)    # (out_dim,)
+        self.activation = activation
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise DimensionError(
                 f"layer shapes inconsistent: w {self.w.shape}, b {self.b.shape}"
@@ -101,16 +97,13 @@ class Autoencoder:
     def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer]):
         if not encoder or not decoder:
             raise DimensionError("encoder and decoder must be non-empty")
-        if decoder[0].in_dim != encoder[-1].out_dim:
-            raise DimensionError("decoder input dim must equal embedding dim")
         if decoder[-1].out_dim != encoder[0].in_dim:
             raise DimensionError("decoder output dim must equal input dim")
-        for prev, nxt in zip(encoder, encoder[1:]):
+        # encoder then decoder layers, the order of parameters()
+        self.layers = [*encoder, *decoder]
+        for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_dim != nxt.in_dim:
-                raise DimensionError("encoder layer dims do not chain")
-        for prev, nxt in zip(decoder, decoder[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise DimensionError("decoder layer dims do not chain")
+                raise DimensionError("layer dims do not chain")
         self.encoder = encoder
         self.decoder = decoder
         self.flat_params = np.concatenate([p.ravel()
@@ -127,30 +120,20 @@ class Autoencoder:
     def input_dim(self) -> int:
         return self.encoder[0].in_dim
 
-    @property
-    def embed_dim(self) -> int:
-        return self.encoder[-1].out_dim
-
     @classmethod
     def create(cls, input_dim: int, hidden_dims: tuple[int, ...],
                seed=0) -> "Autoencoder":
         """Glorot-uniform weights, zero biases, seeded."""
         rng = np.random.default_rng(seed)
-        enc_dims = [input_dim, *hidden_dims]
-        dec_dims = [*hidden_dims[::-1], input_dim]
-        encoder, decoder = [], []
-        for i, (fi, fo) in enumerate(zip(enc_dims, enc_dims[1:])):
-            act = "linear" if i == len(enc_dims) - 2 else "relu"
-            encoder.append(DenseLayer(glorot_uniform(fi, fo, rng), np.zeros(fo), act))
-        for i, (fi, fo) in enumerate(zip(dec_dims, dec_dims[1:])):
-            act = "linear" if i == len(dec_dims) - 2 else "relu"
-            decoder.append(DenseLayer(glorot_uniform(fi, fo, rng), np.zeros(fo), act))
-        return cls(encoder, decoder)
 
-    @property
-    def layers(self) -> list[DenseLayer]:
-        """Encoder then decoder layers, the order of parameters()."""
-        return [*self.encoder, *self.decoder]
+        def stack(dims):    # ReLU layers, then a linear one
+            return [DenseLayer(glorot_uniform(fi, fo, rng), np.zeros(fo),
+                               "linear" if i == len(dims) - 2 else "relu")
+                    for i, (fi, fo) in enumerate(zip(dims, dims[1:]))]
+
+        # the encoder draws its weights first
+        return cls(stack([input_dim, *hidden_dims]),
+                   stack([*hidden_dims[::-1], input_dim]))
 
     def parameters(self) -> list[np.ndarray]:
         """Weights and biases layer by layer, views into `flat_params`.
@@ -182,14 +165,11 @@ class Autoencoder:
             )
         return X
 
-    def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (embedding Z, reconstruction Xhat)."""
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Return the embedding Z, the encoder's output."""
         X = self._check_input(X)
-        outs = [np.empty((X.shape[0], layer.out_dim)) for layer in self.layers]
-        ne = len(self.encoder)
-        Z = self._run(self.encoder, X, outs[:ne])
-        Xhat = self._run(self.decoder, Z, outs[ne:])
-        return Z, Xhat
+        outs = [np.empty((X.shape[0], layer.out_dim)) for layer in self.encoder]
+        return self._run(self.encoder, X, outs)
 
     def loss_and_grads(self, X, yind=None, centers=None, lam: float = 0.0,
                        ws: "Workspace | None" = None):
@@ -277,6 +257,13 @@ class Autoencoder:
         return recon, ce, grads, center_grad
 
 
+def workspace_key(ae: Autoencoder, n: int, k: int) -> tuple:
+    """What a Workspace must match: each layer's weight shape and
+    activation, the row count n and the center count k."""
+    return (tuple((layer.w.shape, layer.activation) for layer in ae.layers),
+            n, k)
+
+
 def _pairs(flat: np.ndarray, layers: list[DenseLayer]):
     """(w, b) views of `flat` for each layer, in parameters() order."""
     at = 0
@@ -306,7 +293,7 @@ class Workspace:
     def __init__(self, ae: Autoencoder, n: int, k: int = 0):
         layers = ae.layers
         self.n, self.k = n, k
-        self.shapes = [layer.w.shape for layer in layers]
+        self.key = workspace_key(ae, n, k)
         self.out = [np.empty((n, layer.out_dim)) for layer in layers]
         self.mask = [np.empty((n, layer.out_dim), dtype=bool)
                      if layer.activation == "relu" else None for layer in layers]
@@ -316,7 +303,7 @@ class Workspace:
         self.grads = [g for pair in _pairs(self.flat_grads, layers)
                       for g in pair]
         if k:
-            d = ae.embed_dim
+            d = ae.encoder[-1].out_dim
             self.diff = np.empty((n, d))
             self.kernel = np.empty((n, k))
             self.s = np.empty((n, k))
@@ -328,20 +315,17 @@ class Workspace:
             self.gtz = np.empty((k, d))
 
     def check(self, ae: Autoencoder, n: int, k: int) -> None:
-        shapes = [layer.w.shape for layer in ae.layers]
-        if (n, k) != (self.n, self.k) or shapes != self.shapes:
-            raise DimensionError(
-                f"workspace built for n={self.n}, k={self.k}, layers "
-                f"{self.shapes}; called with n={n}, k={k}, layers {shapes}"
-            )
+        key = workspace_key(ae, n, k)
+        if key != self.key:
+            raise DimensionError(f"workspace built for {self.key}, called "
+                                 f"with {key} (layers, n, k)")
 
 
 class WorkspacePool:
     """Workspaces lent for one loss_and_grads call at a time.
 
-    A workspace is built when none of its shape (layer shapes and
-    activations, rows, centers) is free, so a pool never holds more of one
-    shape than the most borrowers it had at once.
+    A workspace is built when none of its `workspace_key` is free, so a
+    pool never holds more of one key than the most borrowers it had at once.
     """
 
     def __init__(self):
@@ -350,8 +334,7 @@ class WorkspacePool:
 
     @contextmanager
     def lend(self, ae: Autoencoder, n: int, k: int = 0):
-        key = (tuple((layer.w.shape, layer.activation) for layer in ae.layers),
-               n, k)
+        key = workspace_key(ae, n, k)
         with self._lock:
             free = self._free.setdefault(key, [])
             ws = free.pop() if free else None
@@ -414,7 +397,6 @@ def combined_loss(recon: float, ce: float, lam: float) -> float:
     return recon + lam * ce
 
 
-@dataclass
 class AdamState:
     """Per-parameter Adam moments, the step count and the learning rate.
 
@@ -422,41 +404,19 @@ class AdamState:
     adam_step reuses instead of allocating.
     """
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-    lr: float = 0.001
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if not self.scratch:
-            self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
-
-    @classmethod
-    def create(cls, params: list[np.ndarray], lr: float = 0.001) -> "AdamState":
+    def __init__(self, params: list[np.ndarray], lr: float = 0.001):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            lr=lr,
-        )
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.step = 0
+        self.lr = lr
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState) -> None:
-    """One in-place Adam update with bias correction.
-
-    Before any parameter or moment changes, every gradient's squared norm
-    is checked finite, so no g g below can overflow: a NaN or ±inf entry
-    raises FloatingPointError("non-finite gradient"), and a finite gradient
-    whose squared norm overflows FloatingPointError("overflowing gradient").
-    Evaluates m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-    p -= lr (m / bc1) / (sqrt(v / bc2) + eps) in the state's scratch.
-    """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionError("params/grads/state lengths differ")
+def check_gradients(grads: list[np.ndarray]) -> None:
+    """Raise FloatingPointError("non-finite gradient") on a NaN or ±inf
+    entry, else ("overflowing gradient") if a squared norm overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         for g in grads:
             flat = g.reshape(-1)
@@ -464,6 +424,19 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
                 if np.isfinite(flat).all():
                     raise FloatingPointError("overflowing gradient")
                 raise FloatingPointError("non-finite gradient")
+
+
+def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
+              state: AdamState) -> None:
+    """One in-place Adam update with bias correction.
+
+    check_gradients runs before any parameter or moment changes, so no g g
+    below can overflow. Evaluates m = b1 m + (1 - b1) g, v = b2 v + (1 - b2)
+    g g and p -= lr (m / bc1) / (sqrt(v / bc2) + eps) in the state's scratch.
+    """
+    if len(params) != len(grads) or len(params) != len(state.m):
+        raise DimensionError("params/grads/state lengths differ")
+    check_gradients(grads)
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step

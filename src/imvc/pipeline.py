@@ -189,7 +189,7 @@ def standardize(views: list[np.ndarray],
 
 
 def _embed_all(state: ModelState, views: list[np.ndarray]) -> list[np.ndarray]:
-    return [ae.forward(view)[0] for ae, view in zip(state.autoencoders, views)]
+    return [ae.forward(view) for ae, view in zip(state.autoencoders, views)]
 
 
 def _view_workers(n_views: int) -> int:
@@ -209,6 +209,12 @@ def _map_views(job, n_views: int) -> list:
                         _view_workers(n_views))
 
 
+def _quietly():
+    """numpy's error state with the caller's "warn" set to "ignore"."""
+    return np.errstate(**{kind: "ignore" if mode == "warn" else mode
+                          for kind, mode in np.geterr().items()})
+
+
 def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
                   lr: float, workspaces: nncore.WorkspacePool, yind=None,
                   centers=None, lam: float = 0.0, view: int = 0,
@@ -216,29 +222,34 @@ def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
     """Train one view, yielding after each epoch; returns the loss history.
 
     Each epoch borrows a workspace from `workspaces` and gives it back
-    before the yield. A non-finite gradient raises FloatingPointError
-    naming the view, the phase and the 1-based epoch.
+    before the yield. Each epoch runs `_quietly`: a non-finite gradient,
+    then a non-finite loss, raises FloatingPointError naming the view, the
+    phase and the 1-based epoch before any parameter changes.
     """
     X = np.asarray(X, dtype=np.float64)
     params = [ae.flat_params]
     train_centers = centers is not None and lam > 0.0
     if train_centers:
         params.append(centers)
-    adam = nncore.AdamState.create(params, lr=lr)
+    adam = nncore.AdamState(params, lr=lr)
     k = centers.shape[0] if train_centers and yind is not None else 0
     history = []
     for epoch in range(1, epochs + 1):
-        with workspaces.lend(ae, X.shape[0], k) as ws:
+        with workspaces.lend(ae, X.shape[0], k) as ws, _quietly():
             recon, ce, _, cgrad = ae.loss_and_grads(X, yind=yind,
                                                     centers=centers, lam=lam,
                                                     ws=ws)
             grads = [ws.flat_grads, cgrad] if train_centers else [ws.flat_grads]
+            loss = nncore.combined_loss(recon, ce, lam)
             try:
+                if not np.isfinite(loss):     # a bad gradient is named first
+                    nncore.check_gradients(grads)
+                    raise FloatingPointError("non-finite loss")
                 nncore.adam_step(params, grads, adam)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"view {view}: {exc} in {phase} epoch {epoch}") from exc
-        history.append(nncore.combined_loss(recon, ce, lam))
+        history.append(loss)
         yield
     return history
 
@@ -283,8 +294,7 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
         len(views))
     del workspaces      # freed before k-means allocates its buffers
 
-    Z = np.hstack([ae.forward(view)[0]
-                   for ae, view in zip(autoencoders, views)])
+    Z = np.hstack([ae.forward(view) for ae, view in zip(autoencoders, views)])
     result = run_kmeans(Z, config.k, seed=[config.seed, 100])
     X = np.hstack(views)
     tree = dtree.build_tree(X, result.labels, config.max_depth, config.min_num,
@@ -312,9 +322,11 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
     yind = np.eye(config.k)[yhard]
 
     def seed(v):
-        Z = state.autoencoders[v].forward(views[v])[0]
-        rng = np.random.default_rng([config.seed, 200, cycle, v])
-        return init_centers(Z, yhard, config.k, rng)
+        # an overflow here leaves the centers non-finite; training names it
+        with _quietly():
+            Z = state.autoencoders[v].forward(views[v])
+            rng = np.random.default_rng([config.seed, 200, cycle, v])
+            return init_centers(Z, yhard, config.k, rng)
 
     # every view is seeded before any trains, so that forward's fresh
     # activations are never allocated beside the lent workspaces

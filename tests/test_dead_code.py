@@ -1,5 +1,6 @@
 """Every module-level function and class in imvc has a caller in imvc,
-and every module-level import is read by its module.
+every module-level constant is read in imvc, and every module-level import
+is read by its module.
 
 A definition counts as used when its name is read, taken as an attribute
 or imported anywhere in the package's source, or when the package exports
@@ -17,32 +18,63 @@ SRC = Path(imvc.__file__).resolve().parent
 # library formulas that the acceptance criteria test but imvc does not call
 LIBRARY_ONLY = {"split_gini"}
 
+# constants that the benchmark's tracer reads (perfbench/tracer.py)
+TRACER_ONLY = {"tao.MAX_SELF_LABEL_ITERATIONS"}
 
-def test_every_definition_has_a_caller_in_the_package():
-    defined, used = {}, set()
+
+def modules():
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defined[f"{path.stem}.{node.name}"] = node.name
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def names_read_in_package() -> set[str]:
+    """Names read, taken as an attribute or imported anywhere in imvc."""
+    used = set()
+    for _, tree in modules():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    known = used | set(imvc.__all__) | LIBRARY_ONLY
+    return used
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    defined = {}
+    for stem, tree in modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined[f"{stem}.{node.name}"] = node.name
+    known = names_read_in_package() | set(imvc.__all__) | LIBRARY_ONLY
     unused = sorted(qualified for qualified, name in defined.items()
                     if name not in known)
     assert unused == []
 
 
+def test_every_module_level_constant_is_read_in_the_package():
+    defined = {}
+    for stem, tree in modules():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and not name.id.startswith("__")):
+                        defined[f"{stem}.{name.id}"] = name.id
+    known = names_read_in_package()
+    unused = sorted(qualified for qualified, name in defined.items()
+                    if name not in known and qualified not in TRACER_ONLY)
+    assert unused == []
+
+
 def test_every_module_level_import_is_read_by_its_module():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for stem, tree in modules():
         known = {node.id for node in ast.walk(tree)
                  if isinstance(node, ast.Name)
                  and isinstance(node.ctx, ast.Load)} | {"annotations"}
@@ -57,5 +89,5 @@ def test_every_module_level_import_is_read_by_its_module():
                     # `import a.b` binds `a`
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in known:
-                        unused.append(f"{path.stem}.{name}")
+                        unused.append(f"{stem}.{name}")
     assert unused == []

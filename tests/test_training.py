@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from imvc import nncore, parallel, pipeline
 from imvc.nncore import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_EPS, AdamState,
-                         Autoencoder, Workspace, adam_step)
+                         Autoencoder, DenseLayer, Workspace, adam_step)
 
 
 def train_view(ae, X, epochs, lr, yind=None, centers=None, lam=0.0):
@@ -106,7 +106,7 @@ def reference_train_view(ae, X, epochs, lr, yind=None, centers=None, lam=0.0):
     train_centers = centers is not None and lam > 0.0
     if train_centers:
         params = params + [centers]
-    adam = AdamState.create(params, lr=lr)
+    adam = AdamState(params, lr=lr)
     history = []
     for _ in range(epochs):
         recon, ce, grads, cgrad = reference_loss_and_grads(ae, X, yind,
@@ -227,6 +227,17 @@ class TestWorkspace:
         with pytest.raises(nncore.DimensionError):
             ae.loss_and_grads(X, ws=Workspace(other, X.shape[0]))
 
+    def test_workspace_of_other_activations_rejected(self):
+        # same weight shapes, but a ReLU workspace would mask linear layers
+        ae, X, _, _ = self.problem()
+        linear = Autoencoder(
+            [DenseLayer(layer.w.copy(), layer.b.copy(), "linear")
+             for layer in ae.encoder],
+            [DenseLayer(layer.w.copy(), layer.b.copy(), "linear")
+             for layer in ae.decoder])
+        with pytest.raises(nncore.DimensionError):
+            linear.loss_and_grads(X, ws=Workspace(ae, X.shape[0]))
+
 
 class TestEpochAllocation:
     @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -237,7 +248,7 @@ class TestEpochAllocation:
         yind = one_hot(rng.integers(3, size=600), 3)
         centers = rng.standard_normal((3, pipeline.EMBED_DIMS[-1]))
         params = ae.parameters() + ([centers] if lam else [])
-        adam = AdamState.create(params)
+        adam = AdamState(params)
         ws = Workspace(ae, 600, 3 if lam else 0)
 
         def epoch():
@@ -262,7 +273,7 @@ class TestAdamFailure:
         rng = np.random.default_rng(1)
         params = [rng.standard_normal((3, 2)), rng.standard_normal(2),
                   rng.standard_normal((2, 2))]
-        state = AdamState.create(params, lr=0.01)
+        state = AdamState(params, lr=0.01)
         for _ in range(3):
             adam_step(params, [rng.standard_normal(p.shape) for p in params],
                       state)
@@ -275,3 +286,15 @@ class TestAdamFailure:
             assert state.step == 3
             for a, b in zip((*params, *state.m, *state.v), before):
                 assert_bits_equal(a, b)
+
+
+def test_non_finite_loss_stops_training_before_any_change():
+    # every residual is ±1e154: their squares sum past the float range,
+    # while the zero weights and the cancelling rows keep every gradient 0
+    ae = Autoencoder([DenseLayer(np.zeros((1, 1)), np.zeros(1), "linear")],
+                     [DenseLayer(np.zeros((1, 1)), np.zeros(1), "linear")])
+    X = np.array([[1e154], [-1e154], [1e154], [-1e154]])
+    with pytest.raises(FloatingPointError) as info:
+        train_view(ae, X, 2, 0.01)
+    assert str(info.value) == "view 0: non-finite loss in pretraining epoch 1"
+    assert not ae.flat_params.any()
