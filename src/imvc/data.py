@@ -249,7 +249,7 @@ def synth_multiview(n_per_cluster: int, k: int, n_views: int, dims,
     return views, truth
 
 
-def write_dataset(out_dir, views, truth=None, name: str = "synthetic") -> Path:
+def write_dataset(out_dir, views, truth=None) -> Path:
     """Write view CSVs, optional labels and a manifest; returns its path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,7 +260,7 @@ def write_dataset(out_dir, views, truth=None, name: str = "synthetic") -> Path:
                    delimiter=",", fmt="%.17g")
         specs.append({"path": fname, "dim": int(np.asarray(view).shape[1])})
     manifest = {
-        "name": name,
+        "name": "synthetic",
         "n": int(np.asarray(views[0]).shape[0]),
         "views": specs,
     }
@@ -581,13 +581,24 @@ def load_model(path) -> ServedModel:
                                  "and a std per view feature")
         standardizer = [(mean, std) for mean, std in pairs]
     try:
-        tree = doc_to_tree(meta["tree"])
+        model = ServedModel(config=cfg, tree=doc_to_tree(meta["tree"]),
+                            view_dims=view_dims, standardizer=standardizer,
+                            converged=meta["converged"],
+                            cycles_run=meta["cycles_run"])
+        tree, offsets = model.tree, meta["tree"].get("view_offsets")
         if tree.feature_dim != sum(view_dims):
             raise ValueError(f"tree has {tree.feature_dim} features, the "
                              f"views {sum(view_dims)}")
+        # fields the tree document repeats from the model must agree with
+        # it: a larger k lets predict return labels past the config's, and
+        # save_model writes view_offsets anew from the view widths
+        if tree.k != cfg.k:
+            raise ValueError(f"tree field 'k' is {tree.k}, the config's "
+                             f"{cfg.k}")
+        if (offsets != model.view_offsets
+                or not all(type(offset) is int for offset in offsets)):
+            raise ValueError(f"tree field 'view_offsets' is {offsets!r}, "
+                             f"the views' {model.view_offsets}")
     except ValueError as exc:
         raise ValueError(f"damaged model file {path}: {exc}") from None
-    return ServedModel(config=cfg, tree=tree, view_dims=view_dims,
-                       standardizer=standardizer,
-                       converged=meta["converged"],
-                       cycles_run=meta["cycles_run"])
+    return model

@@ -76,9 +76,9 @@ class DecisionTree:
     def max_depth(self) -> int:
         return max(self.depth)
 
-    def path(self, x: np.ndarray, start: int | None = None) -> Iterator[int]:
-        """Node ids one row visits, from `start` (default: the root) to a leaf."""
-        node_id = self.root if start is None else start
+    def path(self, x: np.ndarray) -> Iterator[int]:
+        """Node ids one row visits, from the root to a leaf."""
+        node_id = self.root
         while True:
             yield node_id
             feature = self.feature[node_id]

@@ -22,6 +22,9 @@ import numpy as np
 
 from . import parallel
 
+MAX_ITER = 300      # only a cap: a run stops at Lloyd's fixed point
+N_RESTARTS = 10
+
 
 @dataclass
 class KMeansResult:
@@ -62,9 +65,10 @@ def kmeanspp_init(Z: np.ndarray, k: int, seed,
                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Pick k distinct rows of Z by the k-means++ D^2 sampling rule.
 
-    The seed may be an int, a seed sequence or a Generator; the sampling
-    stream is one uniform draw per center (inverse-CDF over cumulative
-    D^2 mass), so an oracle with the same stream reproduces the choice.
+    The seed is anything `np.random.default_rng` takes, a Generator
+    included, which it returns unchanged. The sampling stream is one
+    uniform draw per center (inverse-CDF over cumulative D^2 mass), so an
+    oracle with the same stream reproduces the choice.
     `scratch`, an array shaped like Z, is overwritten; one is allocated
     when it is None.
     """
@@ -74,7 +78,7 @@ def kmeanspp_init(Z: np.ndarray, k: int, seed,
         raise ValueError(f"cannot pick {k} centers from {n} points")
     if k < 1:
         raise ValueError("k must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if scratch is None:
         scratch = np.empty_like(Z)
     dist = np.empty((n, 1))
@@ -96,9 +100,11 @@ def kmeanspp_init(Z: np.ndarray, k: int, seed,
     return Z[chosen].copy()
 
 
-def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 300,
-          tol: float = 1e-4, scratch: np.ndarray | None = None) -> KMeansResult:
-    """Alternate assignment/update until the max center shift drops below tol.
+def lloyd(Z: np.ndarray, init_centers: np.ndarray,
+          scratch: np.ndarray | None = None) -> KMeansResult:
+    """Alternate assignment/update until an update leaves every center
+    bit-identical (Lloyd's fixed point: no tolerance, so the run is exact
+    under any power-of-two scaling of Z), at most MAX_ITER times.
 
     Distance ties assign to the lowest cluster index. An empty cluster is
     re-seeded at the point farthest from its own center among the points
@@ -108,8 +114,6 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 300,
     """
     Z = np.asarray(Z, dtype=np.float64)
     centers = np.array(init_centers, dtype=np.float64, copy=True)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if not np.all(np.isfinite(centers)):
         raise ValueError("initial centers must be finite")
     k = centers.shape[0]
@@ -119,7 +123,7 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 300,
     if scratch is None:
         scratch = np.empty_like(Z)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = sq_dists(Z, centers, scratch)
         labels = np.argmin(d2, axis=1)      # ties -> lowest index
         own = d2[np.arange(n), labels]
@@ -134,11 +138,11 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 300,
         new_centers = np.empty_like(centers)
         for j in range(k):
             new_centers[j] = Z[labels == j].mean(axis=0)
-        shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
+        fixed = np.array_equal(new_centers, centers)
         centers = new_centers
         sse = float(np.sum(_residual_sq(Z, centers, labels, scratch)))
         history.append(sse)
-        if shift < tol:
+        if fixed:
             break
     return KMeansResult(labels=labels, centers=centers, sse=history[-1],
                         iterations=len(history), sse_history=history)
@@ -152,15 +156,13 @@ def _run_restart(Z: np.ndarray, k: int, seed, r: int) -> KMeansResult:
     return lloyd(Z, centers, scratch=scratch)
 
 
-def kmeans(Z: np.ndarray, k: int, seed, n_restarts: int = 10) -> KMeansResult:
-    """Best of n_restarts seeded runs; winner by (sse, restart index)."""
+def kmeans(Z: np.ndarray, k: int, seed) -> KMeansResult:
+    """Best of N_RESTARTS seeded runs; winner by (sse, restart index)."""
     Z = np.asarray(Z, dtype=np.float64)
     if k < 1 or k > Z.shape[0]:
         raise ValueError(f"invalid k={k} for {Z.shape[0]} points")
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be at least 1")
     results = parallel.run(
-        [parallel.once(_run_restart, Z, k, seed, r) for r in range(n_restarts)],
+        [parallel.once(_run_restart, Z, k, seed, r) for r in range(N_RESTARTS)],
         parallel.usable_cpus())
     # min keeps the first of equal sse values: ties go to the lower restart
     return min(results, key=lambda result: result.sse)

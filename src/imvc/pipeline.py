@@ -188,10 +188,6 @@ def standardize(views: list[np.ndarray],
             for view, (mean, std) in zip(views, standardizer)]
 
 
-def _embed_all(state: ModelState, views: list[np.ndarray]) -> list[np.ndarray]:
-    return [ae.forward(view) for ae, view in zip(state.autoencoders, views)]
-
-
 def _view_workers(n_views: int) -> int:
     """Threads for the views: one per usable CPU, at most one per view,
     while OpenBLAS is held at one thread; otherwise one."""
@@ -224,7 +220,8 @@ def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
     Each epoch borrows a workspace from `workspaces` and gives it back
     before the yield. Each epoch runs `_quietly`: a non-finite gradient,
     then a non-finite loss, raises FloatingPointError naming the view, the
-    phase and the 1-based epoch before any parameter changes.
+    phase and the 1-based epoch before any parameter changes, and so does
+    an overflow that a caller's `np.errstate` raises.
     """
     X = np.asarray(X, dtype=np.float64)
     params = [ae.flat_params]
@@ -236,12 +233,12 @@ def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
     history = []
     for epoch in range(1, epochs + 1):
         with workspaces.lend(ae, X.shape[0], k) as ws, _quietly():
-            recon, ce, _, cgrad = ae.loss_and_grads(X, yind=yind,
-                                                    centers=centers, lam=lam,
-                                                    ws=ws)
-            grads = [ws.flat_grads, cgrad] if train_centers else [ws.flat_grads]
-            loss = nncore.combined_loss(recon, ce, lam)
             try:
+                recon, ce, _, cgrad = ae.loss_and_grads(
+                    X, yind=yind, centers=centers, lam=lam, ws=ws)
+                grads = ([ws.flat_grads, cgrad] if train_centers
+                         else [ws.flat_grads])
+                loss = nncore.combined_loss(recon, ce, lam)
                 if not np.isfinite(loss):     # a bad gradient is named first
                     nncore.check_gradients(grads)
                     raise FloatingPointError("non-finite loss")
@@ -270,6 +267,14 @@ def init_centers(Z: np.ndarray, hard: np.ndarray, k: int,
     return centers
 
 
+def _pseudo_labels(autoencoders: list[nncore.Autoencoder],
+                   views: list[np.ndarray], k: int, seed) -> np.ndarray:
+    """k-means labels of the views' embeddings side by side; the embedding
+    is freed on return, before the tree step."""
+    Z = np.hstack([ae.forward(view) for ae, view in zip(autoencoders, views)])
+    return run_kmeans(Z, k, seed).labels
+
+
 def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     """Algorithmic warm start: pretrain, pseudo-label, build the tree."""
     config.validate()
@@ -294,10 +299,10 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
         len(views))
     del workspaces      # freed before k-means allocates its buffers
 
-    Z = np.hstack([ae.forward(view) for ae, view in zip(autoencoders, views)])
-    result = run_kmeans(Z, config.k, seed=[config.seed, 100])
+    kmeans_labels = _pseudo_labels(autoencoders, views, config.k,
+                                   [config.seed, 100])
     X = np.hstack(views)
-    tree = dtree.build_tree(X, result.labels, config.max_depth, config.min_num,
+    tree = dtree.build_tree(X, kmeans_labels, config.max_depth, config.min_num,
                             k=config.k)
     labels = LabelSet(tree.predict_batch(X))
     centers = [np.zeros((config.k, EMBED_DIMS[-1])) for _ in views]
@@ -307,7 +312,7 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
         centers=centers,
         tree=tree,
         labels=labels,
-        kmeans_labels=result.labels,
+        kmeans_labels=kmeans_labels,
         view_dims=view_dims,
         standardizer=standardizer,
         loss_history={"pretrain": pretrain_losses, "feature": [], "tree": []},
@@ -322,11 +327,17 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
     yind = np.eye(config.k)[yhard]
 
     def seed(v):
-        # an overflow here leaves the centers non-finite; training names it
+        # an overflow here leaves the centers non-finite, and training names
+        # it; one that the caller's error state raises is named here
+        rng = np.random.default_rng([config.seed, 200, cycle, v])
         with _quietly():
-            Z = state.autoencoders[v].forward(views[v])
-            rng = np.random.default_rng([config.seed, 200, cycle, v])
-            return init_centers(Z, yhard, config.k, rng)
+            try:
+                Z = state.autoencoders[v].forward(views[v])
+                return init_centers(Z, yhard, config.k, rng)
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"view {v}: {exc} in cycle {cycle + 1} feature-phase "
+                    f"seeding") from exc
 
     # every view is seeded before any trains, so that forward's fresh
     # activations are never allocated beside the lent workspaces
@@ -353,8 +364,8 @@ def tree_phase(state: ModelState, views: list[np.ndarray],
     """
     config = state.config
     k = config.k
-    Z = np.hstack(_embed_all(state, views))
-    km = run_kmeans(Z, k, seed=[config.seed, 300, cycle]).labels
+    km = _pseudo_labels(state.autoencoders, views, k,
+                        [config.seed, 300, cycle])
     table = np.bincount(km * k + state.labels.hard, minlength=k * k).reshape(k, k)
     perm = metrics.hungarian(-table)
     state.kmeans_labels = perm[km]

@@ -797,13 +797,21 @@ class TestModelSerialization:
          "tree node 1 is reached twice from the root"),
         (lambda doc: doc["nodes"].append(dict(doc["nodes"][2], id=7)),
          "tree node 7 is not reached from the root"),
+        (lambda doc: doc.update(k=5),
+         "tree field 'k' is 5, the config's 2"),
+        (lambda doc: doc.update(view_offsets=[0, 1]),
+         "tree field 'view_offsets' is \\[0, 1\\], the views' \\[0, 3\\]"),
+        (lambda doc: doc.update(view_offsets=[0.0, 3.0]),
+         "tree field 'view_offsets' is \\[0.0, 3.0\\], the views' "
+         "\\[0, 3\\]"),
     ], ids=["record-array", "duplicate-id", "id-boolean", "id-2^40",
             "depth-boolean", "depth-wrong", "count-float", "left-boolean",
             "right-string", "split-feature-float", "label-boolean",
             "label-out-of-range", "split-value-string", "split-value-nan",
             "split-value-huge-integer", "kind-capitalized", "k-string",
             "feature-dim-float", "root-boolean", "nodes-object",
-            "cycle-to-root", "shared-child", "unreached-node"])
+            "cycle-to-root", "shared-child", "unreached-node",
+            "k-past-the-config", "view-offsets-wrong", "view-offsets-floats"])
     def test_damaged_tree_field_rejected_at_load(self, tmp_path, state, edit,
                                                  message):
         model, _ = state

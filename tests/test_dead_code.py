@@ -1,14 +1,18 @@
 """Every module-level function and class in imvc has a caller in imvc,
-every module-level constant is read in imvc, and every module-level import
-is read by its module.
+every module-level constant is read in imvc, every module-level import
+is read by its module, and every parameter with a default is passed by
+some call in imvc.
 
 A definition counts as used when its name is read, taken as an attribute
 or imported anywhere in the package's source, or when the package exports
 it. Code that only tests call belongs in tests/. An imported name counts
-as used when its own module reads it or lists it in its `__all__`.
+as used when its own module reads it or lists it in its `__all__`. A
+parameter that no call in the package passes is an option that only tests
+set: its default is then the one value the package uses.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import imvc
@@ -20,6 +24,9 @@ LIBRARY_ONLY = {"split_gini"}
 
 # constants that the benchmark's tracer reads (perfbench/tracer.py)
 TRACER_ONLY = {"tao.MAX_SELF_LABEL_ITERATIONS"}
+
+# the console script calls main() with no argument; tests pass an argv
+SET_OUTSIDE_THE_PACKAGE = {"cli.main(argv)"}
 
 
 def modules():
@@ -91,3 +98,60 @@ def test_every_module_level_import_is_read_by_its_module():
                     if name not in known:
                         unused.append(f"{stem}.{name}")
     assert unused == []
+
+
+def defaulted_parameters():
+    """(qualified name, called name, parameter, position) of every
+    parameter with a default of a function or method in imvc. A method
+    is called as an attribute, so its position leaves out `self`; a
+    constructor is called by its class name; a keyword-only parameter
+    has position None."""
+    for stem, tree in modules():
+        owners = {fn: cls for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owners.get(fn)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            bound = cls is not None and not static
+            called = cls.name if cls and fn.name == "__init__" else fn.name
+            where = f"{stem}.{cls.name}.{fn.name}" if cls else f"{stem}.{fn.name}"
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield f"{where}({arg.arg})", called, arg.arg, i - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{where}({arg.arg})", called, arg.arg, None
+
+
+def calls_in_package():
+    """(called name, positional count, keyword names) of every call in
+    imvc; a `*args` counts as every position, a `**kwargs` as the
+    keyword None."""
+    for _, tree in modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            positional = (math.inf if any(isinstance(a, ast.Starred)
+                                          for a in node.args)
+                          else len(node.args))
+            yield name, positional, {kw.arg for kw in node.keywords}
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    calls = list(calls_in_package())
+    unset = sorted(
+        qualified for qualified, called, name, position in defaulted_parameters()
+        if qualified not in SET_OUTSIDE_THE_PACKAGE
+        and not any(callee == called
+                    and (name in keywords or None in keywords
+                         or (position is not None and count > position))
+                    for callee, count, keywords in calls))
+    assert unset == []

@@ -1,15 +1,22 @@
-"""imvc runs on numpy alone: neither importing it nor fitting loads scipy.
+"""imvc runs on numpy 2 alone: neither importing it nor fitting loads
+scipy, and the declared numpy floor is one the code's numpy behaviour
+holds on.
 
 scipy stays a test dependency (the assignment solver's oracle), so the
 check runs in a fresh interpreter, where nothing else has imported it.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import imvc
+
+PYPROJECT = Path(imvc.__file__).resolve().parents[2] / "pyproject.toml"
 
 # imports the package and its CLI, fits one joint cycle (so tree_phase
 # matches labels), scores it, and prints every scipy module then loaded
@@ -37,3 +44,18 @@ def test_import_and_fit_load_no_scipy():
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def version_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in re.findall(r"\d+", text)[:3])
+
+
+def test_numpy_floor_is_2_and_installed_numpy_meets_it():
+    # numpy 2.0 is the first release where np.errstate lives in a context
+    # variable (so parallel.run's copied contexts carry it to the workers),
+    # where leaving np.errstate restores np.setbufsize (loss_and_grads),
+    # and whose wheels bundle the scipy_openblas symbols that
+    # parallel.one_blas_thread sets
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', PYPROJECT.read_text())
+    assert version_tuple(floor) >= (2, 0)
+    assert version_tuple(np.__version__) >= version_tuple(floor)

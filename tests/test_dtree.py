@@ -219,13 +219,16 @@ class TestBuildTree:
 class TestPredict:
     def test_single_leaf(self):
         tree = build_tree(np.zeros((3, 2)), [2, 2, 2], max_depth=5, min_num=1)
-        assert leaf_label(tree, [9.0, -9.0]) == 2
+        assert list(tree.path(np.array([9.0, -9.0]))) == [tree.root]
+        np.testing.assert_array_equal(tree.predict_batch([[9.0, -9.0]]), [2])
 
     def test_boundary_goes_left(self):
         X = np.array([[0.0], [1.0]])
         tree = build_tree(X, [0, 1], max_depth=5, min_num=1)
         sv = tree.threshold[tree.root]
-        assert leaf_label(tree, [sv]) == 0
+        assert list(tree.path(np.array([sv]))) == [tree.root,
+                                                    tree.left[tree.root]]
+        np.testing.assert_array_equal(tree.predict_batch([[sv]]), [0])
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(6)

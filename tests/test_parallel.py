@@ -330,8 +330,6 @@ class TestScheduler:
             (i, step) for step in range(3) for i in range(3)]
         assert {name for _, _, name in log} == {"imvc-worker-0"}
 
-    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                        reason="numpy keeps its error state per context from 2.0")
     def test_callers_error_state_holds_inside_steps(self):
         def job():
             assert np.geterr()["over"] == "raise"

@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import sys
 import threading
 import time
@@ -266,8 +267,6 @@ class TestViewPool:
                 else:
                     pipeline.feature_phase(state, views)
 
-    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                        reason="numpy keeps its error state per context from 2.0")
     def test_callers_error_state_holds_in_the_workers(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 3)
         views = [1e300 * view for view in self.three_views()]
@@ -602,6 +601,25 @@ class TestNonFiniteGradient:
                              PipelineConfig(k=3, e1=3, e2=3, outer_cycles=2))
         assert str(info.value) == (
             "view 0: overflowing gradient in pretraining epoch 1")
+
+    def test_callers_errstate_overflow_is_named(self):
+        # a caller's "raise" is kept, so numpy raises inside the epoch
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError) as info:
+                pipeline.fit([self.view(1e200)],
+                             PipelineConfig(k=3, e1=3, e2=3))
+        assert re.fullmatch(r"view 0: overflow encountered in \w+ in "
+                            r"pretraining epoch 1", str(info.value))
+
+    def test_callers_errstate_overflow_in_seeding_is_named(self):
+        state = pipeline.initialize([self.view()],
+                                    PipelineConfig(k=3, e1=3, e2=3))
+        views = [self.view(1e200)]
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError) as info:
+                pipeline.feature_phase(state, views, cycle=1)
+        assert re.fullmatch(r"view 0: overflow encountered in \w+ in "
+                            r"cycle 2 feature-phase seeding", str(info.value))
 
 
 def test_fit_reproducible_bytes(tmp_path, small_dataset):

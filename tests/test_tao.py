@@ -93,6 +93,9 @@ class TestRoutingProperties:
             expected = [leaf_label(tree, x, start) for x in X]
             np.testing.assert_array_equal(tree.predict_batch(X, start=start),
                                           np.array(expected, dtype=np.int64))
+        for x in X:
+            *_, leaf = tree.path(x)
+            assert tree.label[leaf] == leaf_label(tree, x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -135,24 +138,28 @@ class TestRelabelLeaf:
 class TestSubtreeLabel:
     def test_leaf_is_its_label(self):
         tree, X, _ = toy_three_label_instance()
-        assert leaf_label(tree, X[0], start=2) == 2
+        np.testing.assert_array_equal(tree.predict_batch(X[:1], start=2), [2])
 
     def test_depth_one_subtree(self):
         tree, X, _ = toy_three_label_instance()
-        assert leaf_label(tree, [0.0, 1.0], start=1) == 0
-        assert leaf_label(tree, [0.0, 3.0], start=1) == 1
+        np.testing.assert_array_equal(
+            tree.predict_batch(np.array([[0.0, 1.0], [0.0, 3.0]]), start=1),
+            [0, 1])
 
     def test_root_matches_predict(self):
         tree, X, _ = toy_three_label_instance()
-        for x in X:
-            assert leaf_label(tree, x, start=tree.root) == leaf_label(tree, x)
+        np.testing.assert_array_equal(tree.predict_batch(X, start=tree.root),
+                                      tree.predict_batch(X))
 
     def test_path_follows_the_threshold_tests(self):
         tree, _, _ = toy_three_label_instance()
         assert list(tree.path(np.array([0.0, 2.5]))) == [0, 1, 3]
         assert list(tree.path(np.array([0.0, 2.6]))) == [0, 1, 4]
         assert list(tree.path(np.array([0.7, 0.0]))) == [0, 2]
-        assert list(tree.path(np.array([0.7, 0.0]), start=1)) == [1, 3]
+        # from B, the row goes left to leaf 3 (label 0) although the root
+        # would send it right
+        np.testing.assert_array_equal(
+            tree.predict_batch(np.array([[0.7, 0.0]]), start=1), [0])
 
 
 class TestCareSet:

@@ -29,9 +29,17 @@ def make_tree(nodes, k, feature_dim, root=0):
 
 
 def leaf_label(tree, x, start=None):
-    """Label of the leaf that the scalar walk `path` takes row x to."""
-    *_, leaf = tree.path(np.asarray(x, dtype=np.float64), start)
-    return int(tree.label[leaf])
+    """Label of the leaf that row x reaches from `start` (default: the
+    root), walked one node at a time over the tree's arrays: the scalar
+    oracle for `predict_batch` and `route`."""
+    x = np.asarray(x, dtype=np.float64)
+    node_id = tree.root if start is None else start
+    while tree.feature[node_id] >= 0:
+        if x[tree.feature[node_id]] <= tree.threshold[node_id]:
+            node_id = tree.left[node_id]
+        else:
+            node_id = tree.right[node_id]
+    return int(tree.label[node_id])
 
 
 def internal_ids(tree):
