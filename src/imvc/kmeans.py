@@ -6,9 +6,11 @@ deterministic for a fixed seed; restarts are ranked by (sse, restart).
 The restarts of one `kmeans` call run concurrently, as one-step jobs on
 `parallel.run`'s scheduler with a worker per usable CPU: a worker that
 finishes a short restart takes the next one from the queue, so unequal
-restarts still keep every worker busy. A restart allocates the one (n, d)
-scratch buffer that its distances, SSE and seeding distances go through,
-and borrows nothing, so at most one buffer per running restart exists.
+restarts still keep every worker busy. A restart is
+`lloyd(Z, kmeanspp_init(...))`, and each of the two allocates the one
+(n, d) scratch buffer its distances go through; the seeding buffer is
+freed when `kmeanspp_init` returns, before `lloyd` allocates its own, so
+at most one buffer per running restart exists.
 Every restart draws from its own seeded stream and the results are
 ranked in restart order, so the result does not depend on the number of
 workers.
@@ -16,7 +18,7 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +32,15 @@ N_RESTARTS = 10
 class KMeansResult:
     labels: np.ndarray          # (n,) ints in [0, k)
     centers: np.ndarray         # (k, d)
-    sse: float
-    iterations: int
-    sse_history: list[float] = field(default_factory=list)
+    sse_history: list[float]    # the SSE after each Lloyd iteration
+
+    @property
+    def sse(self) -> float:
+        return self.sse_history[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.sse_history)
 
 
 def sq_dists(Z: np.ndarray, centers: np.ndarray,
@@ -61,16 +69,13 @@ def _residual_sq(Z: np.ndarray, centers: np.ndarray, labels: np.ndarray,
     return scratch
 
 
-def kmeanspp_init(Z: np.ndarray, k: int, seed,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+def kmeanspp_init(Z: np.ndarray, k: int, seed) -> np.ndarray:
     """Pick k distinct rows of Z by the k-means++ D^2 sampling rule.
 
     The seed is anything `np.random.default_rng` takes, a Generator
     included, which it returns unchanged. The sampling stream is one
     uniform draw per center (inverse-CDF over cumulative D^2 mass), so an
     oracle with the same stream reproduces the choice.
-    `scratch`, an array shaped like Z, is overwritten; one is allocated
-    when it is None.
     """
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
@@ -79,8 +84,7 @@ def kmeanspp_init(Z: np.ndarray, k: int, seed,
     if k < 1:
         raise ValueError("k must be at least 1")
     rng = np.random.default_rng(seed)
-    if scratch is None:
-        scratch = np.empty_like(Z)
+    scratch = np.empty_like(Z)
     dist = np.empty((n, 1))
     chosen = [int(rng.integers(n))]
     d2 = sq_dists(Z, Z[chosen], scratch)[:, 0]
@@ -100,8 +104,7 @@ def kmeanspp_init(Z: np.ndarray, k: int, seed,
     return Z[chosen].copy()
 
 
-def lloyd(Z: np.ndarray, init_centers: np.ndarray,
-          scratch: np.ndarray | None = None) -> KMeansResult:
+def lloyd(Z: np.ndarray, init_centers: np.ndarray) -> KMeansResult:
     """Alternate assignment/update until an update leaves every center
     bit-identical (Lloyd's fixed point: no tolerance, so the run is exact
     under any power-of-two scaling of Z), at most MAX_ITER times.
@@ -109,8 +112,7 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray,
     Distance ties assign to the lowest cluster index. An empty cluster is
     re-seeded at the point farthest from its own center among the points
     whose cluster has another member, so no cluster is left empty even
-    when Z has fewer distinct rows than k. `scratch`, an array shaped like
-    Z, is overwritten; one is allocated when it is None.
+    when Z has fewer distinct rows than k.
     """
     Z = np.asarray(Z, dtype=np.float64)
     centers = np.array(init_centers, dtype=np.float64, copy=True)
@@ -120,8 +122,7 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray,
     n = Z.shape[0]
     if k > n:
         raise ValueError(f"cannot fit {k} clusters to {n} points")
-    if scratch is None:
-        scratch = np.empty_like(Z)
+    scratch = np.empty_like(Z)
     history: list[float] = []
     for _ in range(MAX_ITER):
         d2 = sq_dists(Z, centers, scratch)
@@ -144,16 +145,7 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray,
         history.append(sse)
         if fixed:
             break
-    return KMeansResult(labels=labels, centers=centers, sse=history[-1],
-                        iterations=len(history), sse_history=history)
-
-
-def _run_restart(Z: np.ndarray, k: int, seed, r: int) -> KMeansResult:
-    """Restart r, through a scratch buffer of its own."""
-    scratch = np.empty_like(Z)
-    rng = np.random.default_rng([seed, r])
-    centers = kmeanspp_init(Z, k, rng, scratch=scratch)
-    return lloyd(Z, centers, scratch=scratch)
+    return KMeansResult(labels=labels, centers=centers, sse_history=history)
 
 
 def kmeans(Z: np.ndarray, k: int, seed) -> KMeansResult:
@@ -162,7 +154,8 @@ def kmeans(Z: np.ndarray, k: int, seed) -> KMeansResult:
     if k < 1 or k > Z.shape[0]:
         raise ValueError(f"invalid k={k} for {Z.shape[0]} points")
     results = parallel.run(
-        [parallel.once(_run_restart, Z, k, seed, r) for r in range(N_RESTARTS)],
+        [parallel.once(lambda r: lloyd(Z, kmeanspp_init(Z, k, [seed, r])), r)
+         for r in range(N_RESTARTS)],
         parallel.usable_cpus())
     # min keeps the first of equal sse values: ties go to the lower restart
     return min(results, key=lambda result: result.sse)

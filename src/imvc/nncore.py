@@ -122,7 +122,7 @@ class Autoencoder:
 
     @classmethod
     def create(cls, input_dim: int, hidden_dims: tuple[int, ...],
-               seed=0) -> "Autoencoder":
+               seed) -> "Autoencoder":
         """Glorot-uniform weights, zero biases, seeded."""
         rng = np.random.default_rng(seed)
 
@@ -176,8 +176,8 @@ class Autoencoder:
         """Losses and exact analytic gradients of Lr + lam * Lce.
 
         Returns (recon_loss, ce_loss, grads, center_grad) where grads is
-        aligned with parameters() and center_grad is None unless centers
-        are supplied with lam > 0.
+        aligned with parameters() and center_grad is None unless the
+        cross-entropy term is on (`center_count`).
 
         Every intermediate array is written into `ws`, a Workspace built
         for this autoencoder, X's row count and the number of centers; the
@@ -186,10 +186,7 @@ class Autoencoder:
         the returned arrays are the caller's.
         """
         X = self._check_input(X)
-        use_ce = lam > 0.0 and yind is not None
-        if use_ce and centers is None:
-            raise ValueError("cross-entropy loss requires cluster centers")
-        k = centers.shape[0] if use_ce else 0
+        k = center_count(yind, centers, lam)
         if ws is None:
             ws = Workspace(self, X.shape[0], k)
         ws.check(self, X.shape[0], k)
@@ -255,6 +252,16 @@ class Autoencoder:
                 # layer i-1's activation is spent: it served as x_in above
                 np.matmul(g, layers[i].w.T, out=ws.out[i - 1])
         return recon, ce, grads, center_grad
+
+
+def center_count(yind, centers, lam: float) -> int:
+    """The number k of centers in the cross-entropy term, 0 when the term
+    is off. It is on when targets `yind` come with lam > 0, and then needs
+    the centers."""
+    use_ce = yind is not None and lam > 0.0
+    if use_ce and centers is None:
+        raise ValueError("cross-entropy loss requires cluster centers")
+    return centers.shape[0] if use_ce else 0
 
 
 def workspace_key(ae: Autoencoder, n: int, k: int) -> tuple:
@@ -404,7 +411,7 @@ class AdamState:
     adam_step reuses instead of allocating.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float = 0.001):
+    def __init__(self, params: list[np.ndarray], lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.m = [np.zeros_like(p) for p in params]

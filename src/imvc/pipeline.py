@@ -12,18 +12,20 @@ feature phase train them as jobs on `parallel.run`'s scheduler, one step
 per epoch: the workers take the views' epochs in turn, so three views on
 two threads keep both busy to the end, and results are gathered in view
 order. Every view keeps its own parameters and Adam state and borrows a
-workspace from the phase's WorkspacePool for each epoch, so no more
-workspaces exist than threads and the floats do not depend on the worker
-count. The feature phase seeds every view's centers before any view
-trains. `fit` holds OpenBLAS at one thread, and there the views get a
-thread per usable CPU, at most one per view; where the bundled OpenBLAS
-cannot be set, one worker steps the views in turn.
+workspace from the phase's WorkspacePool for each epoch, so each thread
+holds at most one workspace of each shape (views of different widths need
+different shapes) and the floats do not depend on the worker count. The
+feature phase seeds every view's centers before any view trains. `fit`
+holds OpenBLAS at one thread, and there the views get a thread per usable
+CPU, at most one per view; where the bundled OpenBLAS cannot be set, one
+worker steps the views in turn.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,17 +176,13 @@ def fit_standardizer(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def apply_standardizer(view, mean, std) -> np.ndarray:
-    return (np.asarray(view, dtype=np.float64) - mean) / std
-
-
 def standardize(views: list[np.ndarray],
                 standardizer: list[tuple[np.ndarray, np.ndarray]] | None
                 ) -> list[np.ndarray]:
     """The views z-scored by `standardizer`; as they are when it is None."""
     if standardizer is None:
         return views
-    return [apply_standardizer(view, mean, std)
+    return [(view - mean) / std
             for view, (mean, std) in zip(views, standardizer)]
 
 
@@ -205,10 +203,17 @@ def _map_views(job, n_views: int) -> list:
                         _view_workers(n_views))
 
 
-def _quietly():
-    """numpy's error state with the caller's "warn" set to "ignore"."""
-    return np.errstate(**{kind: "ignore" if mode == "warn" else mode
-                          for kind, mode in np.geterr().items()})
+@contextmanager
+def _named(view: int, where: str):
+    """numpy's error state with the caller's "warn" set to "ignore"; a
+    FloatingPointError raised inside is raised again naming the view and
+    where it happened."""
+    with np.errstate(**{kind: "ignore" if mode == "warn" else mode
+                        for kind, mode in np.geterr().items()}):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"view {view}: {exc} in {where}") from exc
 
 
 def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
@@ -217,35 +222,30 @@ def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
                   phase: str = "pretraining"):
     """Train one view, yielding after each epoch; returns the loss history.
 
+    When the cross-entropy term is on (`nncore.center_count`), the centers
+    train with the autoencoder; otherwise they are not touched.
     Each epoch borrows a workspace from `workspaces` and gives it back
-    before the yield. Each epoch runs `_quietly`: a non-finite gradient,
-    then a non-finite loss, raises FloatingPointError naming the view, the
-    phase and the 1-based epoch before any parameter changes, and so does
-    an overflow that a caller's `np.errstate` raises.
+    before the yield. Each epoch runs under `_named`: a non-finite
+    gradient, then a non-finite loss, raises FloatingPointError naming the
+    view, the phase and the 1-based epoch before any parameter changes, and
+    so does an overflow that a caller's `np.errstate` raises.
     """
     X = np.asarray(X, dtype=np.float64)
-    params = [ae.flat_params]
-    train_centers = centers is not None and lam > 0.0
-    if train_centers:
-        params.append(centers)
-    adam = nncore.AdamState(params, lr=lr)
-    k = centers.shape[0] if train_centers and yind is not None else 0
+    k = nncore.center_count(yind, centers, lam)     # 0: no cross-entropy
+    params = [ae.flat_params, centers] if k else [ae.flat_params]
+    adam = nncore.AdamState(params, lr)
     history = []
     for epoch in range(1, epochs + 1):
-        with workspaces.lend(ae, X.shape[0], k) as ws, _quietly():
-            try:
-                recon, ce, _, cgrad = ae.loss_and_grads(
-                    X, yind=yind, centers=centers, lam=lam, ws=ws)
-                grads = ([ws.flat_grads, cgrad] if train_centers
-                         else [ws.flat_grads])
-                loss = nncore.combined_loss(recon, ce, lam)
-                if not np.isfinite(loss):     # a bad gradient is named first
-                    nncore.check_gradients(grads)
-                    raise FloatingPointError("non-finite loss")
-                nncore.adam_step(params, grads, adam)
-            except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"view {view}: {exc} in {phase} epoch {epoch}") from exc
+        with (workspaces.lend(ae, X.shape[0], k) as ws,
+              _named(view, f"{phase} epoch {epoch}")):
+            recon, ce, _, cgrad = ae.loss_and_grads(
+                X, yind=yind, centers=centers, lam=lam, ws=ws)
+            grads = [ws.flat_grads, cgrad] if k else [ws.flat_grads]
+            loss = nncore.combined_loss(recon, ce, lam)
+            if not np.isfinite(loss):     # a bad gradient is named first
+                nncore.check_gradients(grads)
+                raise FloatingPointError("non-finite loss")
+            nncore.adam_step(params, grads, adam)
         history.append(loss)
         yield
     return history
@@ -330,14 +330,9 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
         # an overflow here leaves the centers non-finite, and training names
         # it; one that the caller's error state raises is named here
         rng = np.random.default_rng([config.seed, 200, cycle, v])
-        with _quietly():
-            try:
-                Z = state.autoencoders[v].forward(views[v])
-                return init_centers(Z, yhard, config.k, rng)
-            except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"view {v}: {exc} in cycle {cycle + 1} feature-phase "
-                    f"seeding") from exc
+        with _named(v, f"cycle {cycle + 1} feature-phase seeding"):
+            Z = state.autoencoders[v].forward(views[v])
+            return init_centers(Z, yhard, config.k, rng)
 
     # every view is seeded before any trains, so that forward's fresh
     # activations are never allocated beside the lent workspaces

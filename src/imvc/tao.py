@@ -188,10 +188,9 @@ def prune_and_reallocate(tree: DecisionTree,
     return tree.n_nodes != before, pruned
 
 
-def optimize_tree(tree: DecisionTree, X: np.ndarray, Y) -> DecisionTree:
+def optimize_tree(tree: DecisionTree, X: np.ndarray, Y) -> None:
     """Refine tree in place by one tao_pass against the pseudo-labels Y. A
     second pass against the tree's own predictions changes nothing: every
     leaf holds its rows' label, every split sends each care row to the one
     child that predicts it, and pruning left no branch empty."""
     tao_pass(tree, X, Y)
-    return tree

@@ -319,7 +319,7 @@ class TestCsvIngest:
 
 
 def standardize(view):
-    return pipeline.apply_standardizer(view, *pipeline.fit_standardizer(view))
+    return pipeline.standardize([view], [pipeline.fit_standardizer(view)])[0]
 
 
 class TestStandardize:

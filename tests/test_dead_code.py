@@ -1,21 +1,25 @@
 """Every module-level function and class in imvc has a caller in imvc,
 every module-level constant is read in imvc, every module-level import
-is read by its module, and every parameter with a default is passed by
-some call in imvc.
+is read by its module, every parameter with a default is passed by
+some call in imvc, and no default restates one of PipelineConfig.
 
 A definition counts as used when its name is read, taken as an attribute
 or imported anywhere in the package's source, or when the package exports
 it. Code that only tests call belongs in tests/. An imported name counts
 as used when its own module reads it or lists it in its `__all__`. A
 parameter that no call in the package passes is an option that only tests
-set: its default is then the one value the package uses.
+set: its default is then the one value the package uses. A parameter
+named after a PipelineConfig field with that field's default repeats a
+default of the fit, which lives only in the config.
 """
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
 import imvc
+from imvc.pipeline import PipelineConfig
 
 SRC = Path(imvc.__file__).resolve().parent
 
@@ -101,10 +105,10 @@ def test_every_module_level_import_is_read_by_its_module():
 
 
 def defaulted_parameters():
-    """(qualified name, called name, parameter, position) of every
-    parameter with a default of a function or method in imvc. A method
-    is called as an attribute, so its position leaves out `self`; a
-    constructor is called by its class name; a keyword-only parameter
+    """(qualified name, called name, parameter, position, default node) of
+    every parameter with a default of a function or method in imvc. A
+    method is called as an attribute, so its position leaves out `self`;
+    a constructor is called by its class name; a keyword-only parameter
     has position None."""
     for stem, tree in modules():
         owners = {fn: cls for cls in ast.walk(tree)
@@ -120,11 +124,13 @@ def defaulted_parameters():
             where = f"{stem}.{cls.name}.{fn.name}" if cls else f"{stem}.{fn.name}"
             positional = fn.args.posonlyargs + fn.args.args
             first = len(positional) - len(fn.args.defaults)
-            for i, arg in enumerate(positional[first:], start=first):
-                yield f"{where}({arg.arg})", called, arg.arg, i - bound
+            for i, (arg, default) in enumerate(
+                    zip(positional[first:], fn.args.defaults), start=first):
+                yield (f"{where}({arg.arg})", called, arg.arg, i - bound,
+                       default)
             for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                 if default is not None:
-                    yield f"{where}({arg.arg})", called, arg.arg, None
+                    yield f"{where}({arg.arg})", called, arg.arg, None, default
 
 
 def calls_in_package():
@@ -148,10 +154,28 @@ def calls_in_package():
 def test_every_defaulted_parameter_is_passed_in_the_package():
     calls = list(calls_in_package())
     unset = sorted(
-        qualified for qualified, called, name, position in defaulted_parameters()
+        qualified
+        for qualified, called, name, position, _ in defaulted_parameters()
         if qualified not in SET_OUTSIDE_THE_PACKAGE
         and not any(callee == called
                     and (name in keywords or None in keywords
                          or (position is not None and count > position))
                     for callee, count, keywords in calls))
     assert unset == []
+
+
+def literal(node):
+    """The value of a literal default, or a marker equal to nothing."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return object()
+
+
+def test_no_defaulted_parameter_restates_a_config_default():
+    config = {f.name: f.default for f in dataclasses.fields(PipelineConfig)
+              if f.default is not dataclasses.MISSING}
+    restated = sorted(
+        qualified for qualified, _, name, _, default in defaulted_parameters()
+        if name in config and literal(default) == config[name])
+    assert restated == []

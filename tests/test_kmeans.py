@@ -1,6 +1,7 @@
 import itertools
 import os
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -240,8 +241,8 @@ def reference_lloyd(Z, init_centers):
         history.append(sse)
         if fixed:
             break
-    return KMeansResult(labels=labels, centers=centers, sse=history[-1],
-                        iterations=iterations, sse_history=history)
+    assert iterations == len(history)
+    return KMeansResult(labels=labels, centers=centers, sse_history=history)
 
 
 def reference_kmeans(Z, k, seed):
@@ -344,6 +345,17 @@ class TestConcurrentRestartsOracle:
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning, match="from a worker"):
                 kmeans(np.zeros((4, 2)), 2, seed=0)
+
+    def test_a_restart_holds_one_scratch_buffer_at_a_time(self):
+        # a second live (n, d) buffer would add 1.0 x Z.nbytes to the peak
+        Z = blobs(2000, 64, 4, seed=5)
+        tracemalloc.start()
+        try:
+            kmeans_with_workers(1, Z, 4, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * Z.nbytes
 
     def test_callers_error_state_holds_in_the_workers(self):
         Z = 1e200 * np.random.default_rng(0).standard_normal((20, 3))

@@ -259,7 +259,7 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         p = np.array([1.0, 2.0])
-        state = AdamState([p])
+        state = AdamState([p], lr=0.001)
         adam_step([p], [np.zeros(2)], state)
         np.testing.assert_array_equal(p, [1.0, 2.0])
         assert state.step == 1
@@ -292,7 +292,7 @@ class TestAdam:
 
     def test_non_finite_gradient_raises(self):
         p = np.array([1.0])
-        state = AdamState([p])
+        state = AdamState([p], lr=0.001)
         with pytest.raises(FloatingPointError):
             adam_step([p], [np.array([np.nan])], state)
 
@@ -304,7 +304,7 @@ class TestAdam:
     ])
     def test_bad_gradient_raises_before_any_change(self, g, message):
         p = np.ones(len(g))
-        state = AdamState([p])
+        state = AdamState([p], lr=0.001)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(FloatingPointError, match=f"^{message}$"):
@@ -319,7 +319,7 @@ def test_training_is_deterministic_for_fixed_seed():
     snapshots = []
     for _ in range(2):
         ae = tiny_ae(seed=42)
-        state = AdamState(ae.parameters())
+        state = AdamState(ae.parameters(), lr=0.001)
         for _ in range(5):
             _, _, grads, _ = ae.loss_and_grads(X)
             adam_step(ae.parameters(), grads, state)

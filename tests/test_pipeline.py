@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -218,23 +219,27 @@ class TestViewPool:
         assert order.index(2) < last_of_view_0
 
     def test_workspaces_built_at_most_once_per_worker(self, monkeypatch):
-        built = []
+        built = []      # (view width, rows, centers) of each workspace
 
         class CountingWorkspace(nncore.Workspace):
-            def __init__(self, *args, **kwargs):
-                built.append(args[1:])
-                super().__init__(*args, **kwargs)
+            def __init__(self, ae, n, k):
+                built.append((ae.input_dim, n, k))
+                super().__init__(ae, n, k)
 
         rng = np.random.default_rng(4)
-        views = [rng.standard_normal((40, 4)) for _ in range(3)]
         monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 2)
         monkeypatch.setattr(nncore, "Workspace", CountingWorkspace)
-        state = pipeline.initialize(views, self.config(e1=8))
-        assert 1 <= len(built) <= 2
-        built.clear()
-        pipeline.feature_phase(state, views)
-        assert 1 <= len(built) <= 2
-        assert all(shape == (40, 3) for shape in built)
+        # one shape for all views, then a shape per view
+        for widths in [(4, 4, 4), (3, 4, 5)]:
+            views = [rng.standard_normal((40, width)) for width in widths]
+            built.clear()
+            state = pipeline.initialize(views, self.config(e1=8))
+            assert set(built) == {(width, 40, 0) for width in widths}
+            assert max(Counter(built).values()) <= 2
+            built.clear()
+            pipeline.feature_phase(state, views)
+            assert set(built) == {(width, 40, 3) for width in widths}
+            assert max(Counter(built).values()) <= 2
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("phase", ["initialize", "feature_phase"])
@@ -246,8 +251,9 @@ class TestViewPool:
         state = pipeline.initialize(views, config)
         real_adam_step = nncore.adam_step
         # a view's parameters are one vector, whose length gives its width
-        widths = {nncore.Autoencoder.create(view.shape[1], pipeline.EMBED_DIMS)
-                  .flat_params.size: view.shape[1] for view in views}
+        widths = {nncore.Autoencoder.create(view.shape[1], pipeline.EMBED_DIMS,
+                                            seed=0).flat_params.size:
+                  view.shape[1] for view in views}
 
         def failing_adam_step(params, grads, adam):
             width = widths[params[0].size]
@@ -413,7 +419,7 @@ class TestTreePhase:
         def renumbered(Z, k, seed):
             labels = (before + 1) % k
             return KMeansResult(labels=labels, centers=np.zeros((k, Z.shape[1])),
-                                sse=0.0, iterations=1)
+                                sse_history=[0.0])
 
         monkeypatch.setattr(pipeline, "run_kmeans", renumbered)
         pipeline.tree_phase(state, views64)
@@ -431,7 +437,7 @@ class TestTreePhase:
         def true_clusters(Z, k, seed):
             return KMeansResult(labels=np.asarray(truth, dtype=np.int64),
                                 centers=np.zeros((k, Z.shape[1])),
-                                sse=0.0, iterations=1)
+                                sse_history=[0.0])
 
         monkeypatch.setattr(pipeline, "run_kmeans", true_clusters)
         pipeline.tree_phase(state, views64)

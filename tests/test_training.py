@@ -248,7 +248,7 @@ class TestEpochAllocation:
         yind = one_hot(rng.integers(3, size=600), 3)
         centers = rng.standard_normal((3, pipeline.EMBED_DIMS[-1]))
         params = ae.parameters() + ([centers] if lam else [])
-        adam = AdamState(params)
+        adam = AdamState(params, lr=0.001)
         ws = Workspace(ae, 600, 3 if lam else 0)
 
         def epoch():
@@ -298,3 +298,25 @@ def test_non_finite_loss_stops_training_before_any_change():
         train_view(ae, X, 2, 0.01)
     assert str(info.value) == "view 0: non-finite loss in pretraining epoch 1"
     assert not ae.flat_params.any()
+
+
+def test_centers_without_targets_train_as_pretraining():
+    # without targets the cross-entropy term is off whatever lam is, so the
+    # centers neither enter the loss nor train
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((30, 4))
+    centers = rng.standard_normal((3, 3))
+    kept = centers.copy()
+    ae = Autoencoder.create(4, (6, 3), seed=7)
+    twin = copy.deepcopy(ae)
+    assert (train_view(ae, X, 5, 0.01, centers=centers, lam=0.1)
+            == train_view(twin, X, 5, 0.01))
+    assert_bits_equal(ae.flat_params, twin.flat_params)
+    assert_bits_equal(centers, kept)
+
+
+def test_targets_without_centers_rejected():
+    ae = Autoencoder.create(4, (6, 3), seed=7)
+    yind = one_hot(np.zeros(5, dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="requires cluster centers"):
+        train_view(ae, np.ones((5, 4)), 1, 0.01, yind=yind, lam=0.1)
