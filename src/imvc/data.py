@@ -429,7 +429,7 @@ def doc_to_tree(doc: dict) -> DecisionTree:
 
 
 def export_tree(tree: DecisionTree, view_offsets: list[int],
-                fmt: str = "json") -> str:
+                fmt: str) -> str:
     """Tree as a JSON document or a graphviz digraph."""
     if fmt == "json":
         return json.dumps(tree_to_doc(tree, view_offsets), indent=2,
@@ -518,9 +518,10 @@ def _check_meta(meta, path) -> None:
             raise _damaged(path, f"field {name!r} is missing")
         if not isinstance(meta[name], kind):
             raise _damaged(path, f"field {name!r} is not a JSON {json_kind}")
-    if not all(type(d) is int and d > 0 for d in meta["view_dims"]):
+    view_dims = meta["view_dims"]
+    if not view_dims or not all(type(d) is int and d > 0 for d in view_dims):
         raise _damaged(path, "field 'view_dims' is not a list of positive "
-                             "integers")
+                             "integers, or is empty")
 
 
 def _read_payload(path) -> bytes:

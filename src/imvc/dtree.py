@@ -249,11 +249,14 @@ def _majority(labels: np.ndarray) -> int:
 
 
 def build_tree(X: np.ndarray, Y, max_depth: int, min_num: int,
-               k: int | None = None) -> DecisionTree:
-    """Recursive CART growth guided by pseudo-labels.
+               k: int) -> DecisionTree:
+    """CART growth guided by pseudo-labels in [0, k).
 
     A node becomes a leaf when it holds fewer than min_num instances,
     sits at max_depth, is label-pure, or admits no separating split.
+    Node ids are in preorder, left subtree first. Growth keeps its own
+    stack of pending nodes, so Python's recursion limit does not bound
+    the depth.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.int64)
@@ -263,13 +266,15 @@ def build_tree(X: np.ndarray, Y, max_depth: int, min_num: int,
         raise ValueError("X and Y lengths differ")
     if max_depth < 1 or min_num < 1:
         raise ValueError("max_depth and min_num must be at least 1")
-    if k is None:
-        k = int(Y.max()) + 1
 
     rows: list[list] = []           # indexed by node id, filled in preorder
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        node_id = len(rows)
+    # (rows reaching a node, its depth, its parent's row, and the field of
+    # that row that takes the node's id: 2 for left, 3 for right)
+    stack = [(np.arange(X.shape[0]), 0, None, 0)]
+    while stack:
+        idx, depth, parent, slot = stack.pop()
+        if parent is not None:
+            parent[slot] = len(rows)
         sub_y = Y[idx]
         split = None
         if (len(idx) >= min_num and depth < max_depth
@@ -277,14 +282,12 @@ def build_tree(X: np.ndarray, Y, max_depth: int, min_num: int,
             split = best_split(X[idx], sub_y)
         if split is None:
             rows.append([-1, 0.0, -1, -1, _majority(sub_y), len(idx), depth])
-            return node_id
+            continue
         sf, sv = split
         go_left = X[idx, sf] <= sv
         row = [sf, sv, -1, -1, -1, len(idx), depth]
         rows.append(row)
-        row[2] = grow(idx[go_left], depth + 1)
-        row[3] = grow(idx[~go_left], depth + 1)
-        return node_id
-
-    root = grow(np.arange(X.shape[0]), 0)
-    return DecisionTree(rows, root=root, k=k, feature_dim=X.shape[1])
+        # the left child is popped, and so numbered, first
+        stack.append((idx[~go_left], depth + 1, row, 3))
+        stack.append((idx[go_left], depth + 1, row, 2))
+    return DecisionTree(rows, root=0, k=k, feature_dim=X.shape[1])

@@ -43,18 +43,16 @@ class KMeansResult:
         return len(self.sse_history)
 
 
-def sq_dists(Z: np.ndarray, centers: np.ndarray,
-             scratch: np.ndarray | None = None,
+def sq_dists(Z: np.ndarray, centers: np.ndarray, scratch: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """(n, k) squared distances of Z's rows to the k centers, written into
-    `out`; taken one center at a time through `scratch`, an array shaped
-    like Z. Either is allocated when it is None."""
+    `out`, or a new array when it is None; taken one center at a time
+    through `scratch`, an array shaped like Z."""
     d2 = np.empty((Z.shape[0], centers.shape[0])) if out is None else out
-    diff = np.empty_like(Z) if scratch is None else scratch
     for j, center in enumerate(centers):
-        np.subtract(Z, center, out=diff)
-        diff *= diff
-        np.sum(diff, axis=1, out=d2[:, j])
+        np.subtract(Z, center, out=scratch)
+        scratch *= scratch
+        np.sum(scratch, axis=1, out=d2[:, j])
     return d2
 
 

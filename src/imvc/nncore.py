@@ -62,7 +62,7 @@ class DimensionError(ValueError):
 class DenseLayer:
     """One fully connected layer: out = act(x @ w + b)."""
 
-    def __init__(self, w, b, activation: str = "relu"):
+    def __init__(self, w, b, activation: str):
         self.w = np.asarray(w, dtype=np.float64)    # (in_dim, out_dim)
         self.b = np.asarray(b, dtype=np.float64)    # (out_dim,)
         self.activation = activation
@@ -171,8 +171,7 @@ class Autoencoder:
         outs = [np.empty((X.shape[0], layer.out_dim)) for layer in self.encoder]
         return self._run(self.encoder, X, outs)
 
-    def loss_and_grads(self, X, yind=None, centers=None, lam: float = 0.0,
-                       ws: "Workspace | None" = None):
+    def loss_and_grads(self, X, yind, centers, lam: float, ws: "Workspace"):
         """Losses and exact analytic gradients of Lr + lam * Lce.
 
         Returns (recon_loss, ce_loss, grads, center_grad) where grads is
@@ -182,14 +181,10 @@ class Autoencoder:
         Every intermediate array is written into `ws`, a Workspace built
         for this autoencoder, X's row count and the number of centers; the
         returned gradients are arrays of `ws`, so the next call with the
-        same `ws` overwrites them. Without `ws` a fresh one is built, so
-        the returned arrays are the caller's.
+        same `ws` overwrites them.
         """
         X = self._check_input(X)
-        k = center_count(yind, centers, lam)
-        if ws is None:
-            ws = Workspace(self, X.shape[0], k)
-        ws.check(self, X.shape[0], k)
+        ws.check(self, X.shape[0], center_count(yind, centers, lam))
         with np.errstate():     # restores numpy's buffer size on exit
             np.setbufsize(_UFUNC_BUFSIZE)
             return self._fill(ws, X, yind, centers, lam)
@@ -297,7 +292,7 @@ class Workspace:
     call hold deltas, not the forward pass.
     """
 
-    def __init__(self, ae: Autoencoder, n: int, k: int = 0):
+    def __init__(self, ae: Autoencoder, n: int, k: int):
         layers = ae.layers
         self.n, self.k = n, k
         self.key = workspace_key(ae, n, k)
@@ -340,7 +335,7 @@ class WorkspacePool:
         self._lock = threading.Lock()
 
     @contextmanager
-    def lend(self, ae: Autoencoder, n: int, k: int = 0):
+    def lend(self, ae: Autoencoder, n: int, k: int):
         key = workspace_key(ae, n, k)
         with self._lock:
             free = self._free.setdefault(key, [])
@@ -354,11 +349,12 @@ class WorkspacePool:
                 free.append(ws)
 
 
-def soft_assignment(Z: np.ndarray, centers: np.ndarray, out=None, kernel=None,
-                    diff=None, rowsum=None) -> np.ndarray:
+def soft_assignment(Z: np.ndarray, centers: np.ndarray, out: np.ndarray,
+                    kernel: np.ndarray, diff: np.ndarray,
+                    rowsum: np.ndarray) -> np.ndarray:
     """Student's-t similarity of each embedding to each center, row-normalized.
 
-    With n rows, k centers and d dims, the optional arrays are filled
+    With n rows, k centers and d dims, the given arrays are filled
     instead of allocated: `out` (n, k) gets the result s, `kernel` (n, k)
     the unnormalized a = 1 / (1 + |z - c|^2) that the gradient needs, and
     `diff` (n, d) and `rowsum` (n, 1) are scratch. The squared distances
@@ -372,7 +368,7 @@ def soft_assignment(Z: np.ndarray, centers: np.ndarray, out=None, kernel=None,
         raise DimensionError(
             f"embedding dim {Z.shape[1]} != center dim {centers.shape[1]}"
         )
-    if diff is not None and diff.shape != Z.shape:
+    if diff.shape != Z.shape:
         raise DimensionError(
             f"diff scratch is {diff.shape}, expected {Z.shape}"
         )
@@ -382,11 +378,10 @@ def soft_assignment(Z: np.ndarray, centers: np.ndarray, out=None, kernel=None,
     return np.divide(a, np.sum(a, axis=1, keepdims=True, out=rowsum), out=out)
 
 
-def cross_entropy_loss(yind: np.ndarray, s: np.ndarray, out=None) -> float:
-    """-sum y_ij log s_ij with probabilities clamped at LOG_EPS.
-
-    `out`, an array shaped like s, is used as scratch when given.
-    """
+def cross_entropy_loss(yind: np.ndarray, s: np.ndarray,
+                       out: np.ndarray) -> float:
+    """-sum y_ij log s_ij with probabilities clamped at LOG_EPS, taken
+    through `out`, an array shaped like s."""
     yind = np.asarray(yind, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if yind.shape != s.shape:

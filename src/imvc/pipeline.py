@@ -218,7 +218,7 @@ def _named(view: int, where: str):
 
 def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
                   lr: float, workspaces: nncore.WorkspacePool, yind=None,
-                  centers=None, lam: float = 0.0, view: int = 0,
+                  centers=None, lam: float = 0.0, *, view: int,
                   phase: str = "pretraining"):
     """Train one view, yielding after each epoch; returns the loss history.
 
@@ -320,7 +320,7 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
 
 
 def feature_phase(state: ModelState, views: list[np.ndarray],
-                  cycle: int = 0) -> None:
+                  cycle: int) -> None:
     """Retrain each view against the tree's one-hot outputs (Lr + lam*Lce)."""
     config = state.config
     yhard = state.labels.hard       # set by initialize and tree_phase
@@ -349,7 +349,7 @@ def feature_phase(state: ModelState, views: list[np.ndarray],
 
 
 def tree_phase(state: ModelState, views: list[np.ndarray],
-               cycle: int = 0) -> None:
+               cycle: int) -> None:
     """Refresh pseudo-labels from the embeddings and re-optimize the tree.
 
     k-means numbers its clusters arbitrarily, so its labels are first

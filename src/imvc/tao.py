@@ -142,20 +142,18 @@ def tao_pass(tree: DecisionTree, X: np.ndarray, Y: np.ndarray) -> bool:
             changed |= relabel_leaf(tree, node_id, reach[node_id], Y)
         else:
             changed |= optimize_node(tree, node_id, reach[node_id], X, Y)
-    changed |= prune_and_reallocate(tree, X)[0]
+    changed |= prune_and_reallocate(tree, X)
     return changed
 
 
-def prune_and_reallocate(tree: DecisionTree,
-                         X: np.ndarray) -> tuple[bool, dict[int, np.ndarray]]:
-    """Splice out internal nodes with an empty child; refresh reach sets.
+def prune_and_reallocate(tree: DecisionTree, X: np.ndarray) -> bool:
+    """Splice out internal nodes with an empty child; refresh node counts
+    and depths. Returns True when the structure changed.
 
     An internal node whose rows all go one way is replaced by that child,
     which is reached by the same rows. So the reach sets of one routing
     through the unpruned tree are those of the pruned tree, and they give
     the node counts.
-
-    Returns (structure_changed, reach sets of the pruned tree).
     """
     reach = compute_reach(tree, X)
     before = tree.n_nodes
@@ -174,18 +172,16 @@ def prune_and_reallocate(tree: DecisionTree,
 
     tree.root = kept(tree.root)
     tree.depth = array("q", [-1]) * len(tree.depth)   # ids not reached are holes
-    pruned: dict[int, np.ndarray] = {}
     stack = [(tree.root, 0)]
     while stack:
         node_id, depth = stack.pop()
         tree.depth[node_id] = depth
         tree.count[node_id] = len(reach[node_id])
-        pruned[node_id] = reach[node_id]
         if tree.feature[node_id] >= 0:
             for child in (tree.left, tree.right):
                 child[node_id] = kept(child[node_id])
                 stack.append((child[node_id], depth + 1))
-    return tree.n_nodes != before, pruned
+    return tree.n_nodes != before
 
 
 def optimize_tree(tree: DecisionTree, X: np.ndarray, Y) -> None:

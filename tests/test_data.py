@@ -371,10 +371,11 @@ class TestTreeExport:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((40, 6))
         y = rng.integers(0, 3, size=40)
-        return build_tree(X, y, max_depth=4, min_num=2), X
+        return build_tree(X, y, max_depth=4, min_num=2, k=3), X
 
     def test_single_leaf_dot(self):
-        tree = build_tree(np.zeros((3, 2)), [1, 1, 1], max_depth=2, min_num=1)
+        tree = build_tree(np.zeros((3, 2)), [1, 1, 1], max_depth=2, min_num=1,
+                          k=2)
         dot = dataio.export_tree(tree, [0], fmt="dot")
         assert dot.count("[label=") == 1
         assert "cluster 1" in dot
@@ -638,6 +639,8 @@ class TestModelSerialization:
          "field 'config' is malformed: .*depth"),
         (lambda meta: dict(meta, view_dims=["3", 3]),
          "field 'view_dims' is not a list of positive integers"),
+        (lambda meta: dict(meta, view_dims=[]),
+         "field 'view_dims' is not a list of positive integers, or is empty"),
         (lambda meta: dict(meta, standardizer=meta["standardizer"][:1]),
          "field 'standardizer' does not hold a mean and a std per view "
          "feature"),
@@ -656,7 +659,8 @@ class TestModelSerialization:
         (lambda meta: dict(meta, config=dict(meta["config"], e1=0)),
          "field 'config' is malformed: e1 must be at least 1"),
     ], ids=["empty-object", "array", "no-tree", "converged-string",
-            "config-unknown-key", "view-dims-strings", "standardizer-short",
+            "config-unknown-key", "view-dims-strings", "view-dims-empty",
+            "standardizer-short",
             "standardizer-strings", "standardizer-number",
             "config-lam-negative", "config-k-string", "config-max-depth-zero",
             "config-e1-zero"])

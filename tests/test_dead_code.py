@@ -1,7 +1,8 @@
 """Every module-level function and class in imvc has a caller in imvc,
 every module-level constant is read in imvc, every module-level import
 is read by its module, every parameter with a default is passed by
-some call in imvc, and no default restates one of PipelineConfig.
+some call in imvc and left at its default by another, and no default
+restates one of PipelineConfig.
 
 A definition counts as used when its name is read, taken as an attribute
 or imported anywhere in the package's source, or when the package exports
@@ -9,8 +10,12 @@ it. Code that only tests call belongs in tests/. An imported name counts
 as used when its own module reads it or lists it in its `__all__`. A
 parameter that no call in the package passes is an option that only tests
 set: its default is then the one value the package uses. A parameter
-named after a PipelineConfig field with that field's default repeats a
-default of the fit, which lives only in the config.
+that every call in the package passes has a default that only tests
+use, and so do the branches behind it; functions that imvc exports are
+left out, as library users call them. A parameter named after a
+PipelineConfig field with that field's default repeats a default of the
+fit, which lives only in the config. Each exemption below must still be
+needed: a name that no longer needs one fails the last test.
 """
 
 import ast
@@ -52,20 +57,26 @@ def names_read_in_package() -> set[str]:
     return used
 
 
-def test_every_definition_has_a_caller_in_the_package():
-    defined = {}
-    for stem, tree in modules():
-        for node in tree.body:
+def uncalled_definitions() -> dict[str, str]:
+    """Qualified name -> name of every module-level function and class
+    that imvc neither reads nor exports."""
+    known = names_read_in_package() | set(imvc.__all__)
+    return {f"{stem}.{node.name}": node.name
+            for stem, tree in modules() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defined[f"{stem}.{node.name}"] = node.name
-    known = names_read_in_package() | set(imvc.__all__) | LIBRARY_ONLY
-    unused = sorted(qualified for qualified, name in defined.items()
-                    if name not in known)
+                                 ast.ClassDef))
+            and node.name not in known}
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    unused = sorted(qualified
+                    for qualified, name in uncalled_definitions().items()
+                    if name not in LIBRARY_ONLY)
     assert unused == []
 
 
-def test_every_module_level_constant_is_read_in_the_package():
+def unread_constants() -> set[str]:
+    """Qualified names of the module-level constants imvc never reads."""
     defined = {}
     for stem, tree in modules():
         for node in tree.body:
@@ -78,9 +89,12 @@ def test_every_module_level_constant_is_read_in_the_package():
                             and not name.id.startswith("__")):
                         defined[f"{stem}.{name.id}"] = name.id
     known = names_read_in_package()
-    unused = sorted(qualified for qualified, name in defined.items()
-                    if name not in known and qualified not in TRACER_ONLY)
-    assert unused == []
+    return {qualified for qualified, name in defined.items()
+            if name not in known}
+
+
+def test_every_module_level_constant_is_read_in_the_package():
+    assert sorted(unread_constants() - TRACER_ONLY) == []
 
 
 def test_every_module_level_import_is_read_by_its_module():
@@ -151,17 +165,43 @@ def calls_in_package():
             yield name, positional, {kw.arg for kw in node.keywords}
 
 
-def test_every_defaulted_parameter_is_passed_in_the_package():
+def parameter_use():
+    """(qualified name, called name, passed, left out) of every defaulted
+    parameter: whether some call in imvc can pass it and whether some call
+    can leave it at its default. A call with `*args` or `**kwargs` can
+    leave any parameter out."""
     calls = list(calls_in_package())
-    unset = sorted(
-        qualified
-        for qualified, called, name, position, _ in defaulted_parameters()
-        if qualified not in SET_OUTSIDE_THE_PACKAGE
-        and not any(callee == called
-                    and (name in keywords or None in keywords
+    for qualified, called, name, position, _ in defaulted_parameters():
+        passed = left_out = False
+        for callee, count, keywords in calls:
+            if callee == called:
+                given = (name in keywords
                          or (position is not None and count > position))
-                    for callee, count, keywords in calls))
-    assert unset == []
+                passed |= given or None in keywords
+                left_out |= (not given or None in keywords
+                             or count == math.inf)
+        yield qualified, called, passed, left_out
+
+
+def parameters_no_call_passes() -> set[str]:
+    return {qualified for qualified, _, passed, _ in parameter_use()
+            if not passed}
+
+
+def parameters_every_call_passes() -> set[str]:
+    """Those of functions that imvc does not export: library users call
+    these."""
+    return {qualified for qualified, called, _, left_out in parameter_use()
+            if not left_out and called not in imvc.__all__}
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    assert sorted(parameters_no_call_passes() - SET_OUTSIDE_THE_PACKAGE) == []
+
+
+def test_every_defaulted_parameter_is_left_at_its_default_by_some_call():
+    assert sorted(parameters_every_call_passes()
+                  - SET_OUTSIDE_THE_PACKAGE) == []
 
 
 def literal(node):
@@ -179,3 +219,17 @@ def test_no_defaulted_parameter_restates_a_config_default():
         qualified for qualified, _, name, _, default in defaulted_parameters()
         if name in config and literal(default) == config[name])
     assert restated == []
+
+
+def test_every_exemption_is_still_needed():
+    flagged = {
+        "LIBRARY_ONLY": set(uncalled_definitions().values()),
+        "TRACER_ONLY": unread_constants(),
+        "SET_OUTSIDE_THE_PACKAGE": (parameters_no_call_passes()
+                                    | parameters_every_call_passes()),
+    }
+    exempt = {"LIBRARY_ONLY": LIBRARY_ONLY, "TRACER_ONLY": TRACER_ONLY,
+              "SET_OUTSIDE_THE_PACKAGE": SET_OUTSIDE_THE_PACKAGE}
+    stale = sorted(f"{group}: {name}" for group, names in exempt.items()
+                   for name in names - flagged[group])
+    assert stale == []

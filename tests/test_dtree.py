@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -176,7 +177,7 @@ class TestBestSplit:
 class TestBuildTree:
     def test_pure_labels_single_leaf(self):
         X = np.random.default_rng(0).standard_normal((5, 2))
-        tree = build_tree(X, [1] * 5, max_depth=10, min_num=1)
+        tree = build_tree(X, [1] * 5, max_depth=10, min_num=1, k=2)
         assert tree.n_nodes == 1
         assert tree.feature[tree.root] == -1
         assert tree.label[tree.root] == 1
@@ -184,13 +185,13 @@ class TestBuildTree:
     def test_depth_cap(self):
         X = np.arange(8, dtype=float).reshape(-1, 1)
         y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        tree = build_tree(X, y, max_depth=1, min_num=1)
+        tree = build_tree(X, y, max_depth=1, min_num=1, k=2)
         assert tree.n_nodes == 3
         assert tree.max_depth() == 1
 
     def test_two_pure_leaves(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        tree = build_tree(X, [0, 0, 1, 1], max_depth=10, min_num=1)
+        tree = build_tree(X, [0, 0, 1, 1], max_depth=10, min_num=1, k=2)
         root = tree.root
         assert (tree.feature[root], tree.threshold[root]) == (0, 1.5)
         assert tree.label[tree.left[root]] == 0
@@ -198,12 +199,21 @@ class TestBuildTree:
 
     def test_min_num_stops_splitting(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        tree = build_tree(X, [0, 1, 0], max_depth=10, min_num=4)
+        tree = build_tree(X, [0, 1, 0], max_depth=10, min_num=4, k=2)
         assert tree.n_nodes == 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            build_tree(np.zeros((0, 2)), [], max_depth=1, min_num=1)
+            build_tree(np.zeros((0, 2)), [], max_depth=1, min_num=1, k=1)
+
+    def test_grows_deeper_than_the_recursion_limit(self):
+        # alternating labels on a line: each split peels off one end row,
+        # so the tree is one level shorter than the rows are many
+        X = np.arange(1200.0)[:, None]
+        y = np.arange(1200) % 2
+        tree = build_tree(X, y, max_depth=10**6, min_num=1, k=2)
+        assert tree.max_depth() == 1199 > sys.getrecursionlimit()
+        np.testing.assert_array_equal(tree.predict_batch(X), y)
 
     def test_distinct_rows_reach_zero_training_error(self):
         rng = np.random.default_rng(4)
@@ -211,20 +221,21 @@ class TestBuildTree:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((20, 3))
             y = rng.integers(0, 3, size=20)
-            tree = build_tree(X, y, max_depth=30, min_num=1)
+            tree = build_tree(X, y, max_depth=30, min_num=1, k=3)
             np.testing.assert_array_equal(tree.predict_batch(X), y)
             assert tree.max_depth() <= 30
 
 
 class TestPredict:
     def test_single_leaf(self):
-        tree = build_tree(np.zeros((3, 2)), [2, 2, 2], max_depth=5, min_num=1)
+        tree = build_tree(np.zeros((3, 2)), [2, 2, 2], max_depth=5, min_num=1,
+                          k=3)
         assert list(tree.path(np.array([9.0, -9.0]))) == [tree.root]
         np.testing.assert_array_equal(tree.predict_batch([[9.0, -9.0]]), [2])
 
     def test_boundary_goes_left(self):
         X = np.array([[0.0], [1.0]])
-        tree = build_tree(X, [0, 1], max_depth=5, min_num=1)
+        tree = build_tree(X, [0, 1], max_depth=5, min_num=1, k=2)
         sv = tree.threshold[tree.root]
         assert list(tree.path(np.array([sv]))) == [tree.root,
                                                     tree.left[tree.root]]
@@ -234,13 +245,13 @@ class TestPredict:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((30, 4))
         y = rng.integers(0, 3, size=30)
-        tree = build_tree(X, y, max_depth=8, min_num=2)
+        tree = build_tree(X, y, max_depth=8, min_num=2, k=3)
         probes = rng.standard_normal((50, 4))
         batch = tree.predict_batch(probes)
         scalar = [leaf_label(tree, p) for p in probes]
         np.testing.assert_array_equal(batch, scalar)
 
     def test_dimension_mismatch(self):
-        tree = build_tree(np.zeros((2, 3)), [0, 0], max_depth=2, min_num=1)
+        tree = build_tree(np.zeros((2, 3)), [0, 0], max_depth=2, min_num=1, k=1)
         with pytest.raises(ValueError):
             tree.predict_batch(np.zeros((1, 2)))

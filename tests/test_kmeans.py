@@ -105,7 +105,8 @@ class TestLloyd:
             Z = 3.7 * rng.standard_normal((n, d))
             centers = rng.standard_normal((k, d))
             diff = Z[:, None, :] - centers[None, :, :]
-            np.testing.assert_array_equal(sq_dists(Z, centers),
+            np.testing.assert_array_equal(sq_dists(Z, centers,
+                                                   np.empty_like(Z)),
                                           np.sum(diff * diff, axis=2))
 
 

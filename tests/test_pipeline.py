@@ -237,7 +237,7 @@ class TestViewPool:
             assert set(built) == {(width, 40, 0) for width in widths}
             assert max(Counter(built).values()) <= 2
             built.clear()
-            pipeline.feature_phase(state, views)
+            pipeline.feature_phase(state, views, cycle=0)
             assert set(built) == {(width, 40, 3) for width in widths}
             assert max(Counter(built).values()) <= 2
 
@@ -271,7 +271,7 @@ class TestViewPool:
                 if phase == "initialize":
                     pipeline.initialize(views, config)
                 else:
-                    pipeline.feature_phase(state, views)
+                    pipeline.feature_phase(state, views, cycle=0)
 
     def test_callers_error_state_holds_in_the_workers(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_view_workers", lambda n_views: 3)
@@ -300,7 +300,7 @@ class TestViewPool:
                             counting("forward", nncore.Autoencoder.forward))
         config = self.config(e1=4, e2=3)
         state = pipeline.initialize(self.three_views(), config)
-        pipeline.feature_phase(state, self.three_views())
+        pipeline.feature_phase(state, self.three_views(), cycle=0)
         assert calls.count("train") == 6
         assert calls.count("loss") == calls.count("adam") == 3 * (4 + 3)
         assert calls.count("forward") == 3 + 3
@@ -339,7 +339,8 @@ class TestFeaturePhase:
         config = PipelineConfig(k=3, e1=5, e2=8, lam=0.0, min_num=5, seed=3)
         state = pipeline.initialize(views, config)
         twin = pipeline.initialize(views, config)
-        pipeline.feature_phase(state, [np.asarray(v, float) for v in views])
+        pipeline.feature_phase(state, [np.asarray(v, float) for v in views],
+                               cycle=0)
         for ae, ae_twin, view in zip(state.autoencoders, twin.autoencoders,
                                      views):
             train_view(ae_twin, np.asarray(view, float), 8, config.lr)
@@ -351,7 +352,8 @@ class TestFeaturePhase:
         config = PipelineConfig(k=3, e1=3, e2=1, min_num=5, seed=4)
         state = pipeline.initialize(views, config)
         before = [p.copy() for p in state.autoencoders[0].parameters()]
-        pipeline.feature_phase(state, [np.asarray(v, float) for v in views])
+        pipeline.feature_phase(state, [np.asarray(v, float) for v in views],
+                               cycle=0)
         after = state.autoencoders[0].parameters()
         assert any(not np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -359,7 +361,8 @@ class TestFeaturePhase:
         views, _ = small_dataset
         config = PipelineConfig(k=3, e1=30, e2=60, min_num=5, seed=5)
         state = pipeline.initialize(views, config)
-        pipeline.feature_phase(state, [np.asarray(v, float) for v in views])
+        pipeline.feature_phase(state, [np.asarray(v, float) for v in views],
+                               cycle=0)
         for trace in state.loss_history["feature"][0]:
             assert trace[-1] < trace[0]
 
@@ -373,7 +376,8 @@ class TestFeaturePhase:
             raise AssertionError("feature_phase routed the views")
 
         monkeypatch.setattr(dtree.DecisionTree, "predict_views", routed)
-        pipeline.feature_phase(state, [np.asarray(v, float) for v in views])
+        pipeline.feature_phase(state, [np.asarray(v, float) for v in views],
+                               cycle=0)
         assert len(state.loss_history["feature"]) == 1
 
     def test_indicator_is_one_hot_and_consistent(self, fitted, small_dataset):
@@ -392,9 +396,9 @@ class TestTreePhase:
         config = PipelineConfig(k=3, e1=10, e2=10, min_num=5, seed=6)
         state = pipeline.initialize(views, config)
         views64 = [np.asarray(v, float) for v in views]
-        pipeline.feature_phase(state, views64)
+        pipeline.feature_phase(state, views64, cycle=0)
         before = state.tree.n_nodes
-        pipeline.tree_phase(state, views64)
+        pipeline.tree_phase(state, views64, cycle=0)
         assert state.tree.n_nodes <= before
 
     def test_final_labels_are_tree_outputs(self, small_dataset):
@@ -402,8 +406,8 @@ class TestTreePhase:
         config = PipelineConfig(k=3, e1=10, e2=10, min_num=5, seed=6)
         state = pipeline.initialize(views, config)
         views64 = [np.asarray(v, float) for v in views]
-        pipeline.feature_phase(state, views64)
-        pipeline.tree_phase(state, views64)
+        pipeline.feature_phase(state, views64, cycle=0)
+        pipeline.tree_phase(state, views64, cycle=0)
         np.testing.assert_array_equal(
             state.labels.hard, state.tree.predict_batch(np.hstack(views64)))
 
@@ -422,7 +426,7 @@ class TestTreePhase:
                                 sse_history=[0.0])
 
         monkeypatch.setattr(pipeline, "run_kmeans", renumbered)
-        pipeline.tree_phase(state, views64)
+        pipeline.tree_phase(state, views64, cycle=0)
         np.testing.assert_array_equal(state.labels.hard, before)
         np.testing.assert_array_equal(state.kmeans_labels, before)
         assert leaf_labels(state.tree) == leaves
@@ -440,7 +444,7 @@ class TestTreePhase:
                                 sse_history=[0.0])
 
         monkeypatch.setattr(pipeline, "run_kmeans", true_clusters)
-        pipeline.tree_phase(state, views64)
+        pipeline.tree_phase(state, views64, cycle=0)
         disagreement = int(np.sum(state.labels.hard != state.kmeans_labels))
         assert disagreement > 0        # two leaves cannot hold three clusters
         assert state.loss_history["tree"] == [disagreement]

@@ -120,7 +120,7 @@ def test_predict_makes_no_concatenated_copy():
 
 def test_route_rejects_views_that_do_not_fit_the_tree():
     tree = build_tree(np.array([[0.0, 1.0], [1.0, 0.0]]), [0, 1],
-                      max_depth=2, min_num=1)
+                      max_depth=2, min_num=1, k=2)
     for views, message in (
             ([np.zeros((3, 1)), np.zeros((2, 1))],
              r"view 1 has shape \(2, 1\), expected 2-D with 3 rows"),

@@ -184,7 +184,7 @@ class TestCareSet:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((40, 3))
             y = rng.integers(0, 3, size=40)
-            tree = build_tree(X, rng.integers(0, 3, size=40), 4, 2)
+            tree = build_tree(X, rng.integers(0, 3, size=40), 4, 2, 3)
             reach = compute_reach(tree, X)
             for node_id in internal_ids(tree):
                 care = care_set(tree, node_id, reach[node_id], X, y)
@@ -252,7 +252,7 @@ class TestOptimizeNode:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             X = np.round(rng.standard_normal((80, 3)), 1)
-            tree = build_tree(X, rng.integers(0, 3, size=80), 4, 2)
+            tree = build_tree(X, rng.integers(0, 3, size=80), 4, 2, 3)
             assert_every_node_matches_brute_force(tree, X,
                                                   rng.integers(0, 3, size=80))
 
@@ -284,7 +284,7 @@ class TestTaoPass:
     def test_fixed_point_unchanged(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         Y = np.array([0, 0, 1, 1])
-        tree = build_tree(X, Y, max_depth=5, min_num=1)
+        tree = build_tree(X, Y, max_depth=5, min_num=1, k=2)
         assert not tao_pass(tree, X, Y)
 
     def test_toy_total_loss_drops_by_one(self):
@@ -301,7 +301,7 @@ class TestTaoPass:
             X = rng.standard_normal((60, 3))
             y_build = rng.integers(0, 3, size=60)
             y_opt = rng.integers(0, 3, size=60)
-            tree = build_tree(X, y_build, max_depth=4, min_num=3)
+            tree = build_tree(X, y_build, max_depth=4, min_num=3, k=3)
             prev = misclassification(tree, X, y_opt)
             for _ in range(3):
                 tao_pass(tree, X, y_opt)
@@ -360,19 +360,18 @@ def stacked_one_sided_tree():
 class TestPrune:
     def test_no_empty_nodes_is_identity(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        tree = build_tree(X, [0, 0, 1, 1], max_depth=5, min_num=1)
+        tree = build_tree(X, [0, 0, 1, 1], max_depth=5, min_num=1, k=2)
         n_before = tree.n_nodes
-        changed, reach = prune_and_reallocate(tree, X)
-        assert not changed
+        assert not prune_and_reallocate(tree, X)
         assert tree.n_nodes == n_before
-        np.testing.assert_array_equal(sorted(reach[tree.root]), np.arange(4))
+        np.testing.assert_array_equal(
+            sorted(compute_reach(tree, X)[tree.root]), np.arange(4))
 
     def test_all_left_internal_node_is_replaced(self):
         X = np.array([[0.0], [1.0]])
         # everything goes left
         tree = make_tree({0: (0, 5.0, 1, 2), 1: 1, 2: 0}, 2, 1)
-        changed, _ = prune_and_reallocate(tree, X)
-        assert changed
+        assert prune_and_reallocate(tree, X)
         assert tree.n_nodes == 1
         assert tree.label[tree.root] == 1
         assert tree.depth[tree.root] == 0
@@ -381,8 +380,7 @@ class TestPrune:
         X = STACKED_X
         tree = stacked_one_sided_tree()
         before = tree.predict_batch(X)
-        changed, reach = prune_and_reallocate(tree, X)
-        assert changed
+        assert prune_and_reallocate(tree, X)
         assert tree.ids() == [0, 2, 6, 7, 8]
         assert (tree.root, tree.left[0], tree.right[0]) == (0, 6, 2)
         assert (tree.left[6], tree.right[6]) == (7, 8)
@@ -390,12 +388,13 @@ class TestPrune:
             0: 0, 2: 1, 6: 1, 7: 2, 8: 2}
         assert {i: tree.count[i] for i in tree.ids()} == {
             0: 4, 2: 1, 6: 3, 7: 1, 8: 2}
+        reach = compute_reach(tree, X)
         assert sorted(reach) == [0, 2, 6, 7, 8]
         expected = {0: [0, 1, 2, 3], 2: [3], 6: [0, 1, 2], 7: [0], 8: [1, 2]}
         for node_id, rows in expected.items():
             np.testing.assert_array_equal(reach[node_id], rows)
         np.testing.assert_array_equal(tree.predict_batch(X), before)
-        assert not prune_and_reallocate(tree, X)[0]
+        assert not prune_and_reallocate(tree, X)
 
     def test_holes_survive_a_document_round_trip(self):
         tree = stacked_one_sided_tree()
@@ -415,12 +414,13 @@ class TestPrune:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((50, 2))
-            tree = build_tree(X, rng.integers(0, 3, size=50), 5, 2)
+            tree = build_tree(X, rng.integers(0, 3, size=50), 5, 2, 3)
             # force an empty branch
             root = tree.root
             if tree.feature[root] >= 0:
                 tree.threshold[root] = X[:, tree.feature[root]].max() + 1.0
-            _, reach = prune_and_reallocate(tree, X)
+            prune_and_reallocate(tree, X)
+            reach = compute_reach(tree, X)
             for node_id in internal_ids(tree):
                 merged = sorted([*reach[tree.left[node_id]],
                                  *reach[tree.right[node_id]]])
@@ -443,14 +443,14 @@ class TestOptimizeTree:
 
     def test_single_leaf_converges_immediately(self):
         X = np.zeros((4, 1))
-        tree = build_tree(X, [1, 1, 1, 1], max_depth=3, min_num=1)
+        tree = build_tree(X, [1, 1, 1, 1], max_depth=3, min_num=1, k=2)
         optimize_tree(tree, X, np.array([1, 1, 1, 1]))
         assert tree.n_nodes == 1
 
     def test_optimal_tree_is_fixed_point(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         Y = np.array([0, 0, 1, 1])
-        tree = build_tree(X, Y, max_depth=5, min_num=1)
+        tree = build_tree(X, Y, max_depth=5, min_num=1, k=2)
         doc_before = tree_to_doc(tree, [0])
         optimize_tree(tree, X, Y)
         assert tree_to_doc(tree, [0]) == doc_before
@@ -460,7 +460,7 @@ class TestOptimizeTree:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(20, 200))
             X = rng.standard_normal((n, 4))
-            tree = build_tree(X, rng.integers(0, 4, size=n), 6, 3)
+            tree = build_tree(X, rng.integers(0, 4, size=n), 6, 3, 4)
             size_before = tree.n_nodes
             y = rng.integers(0, 4, size=n)
             before = misclassification(tree, X, y)
