@@ -17,6 +17,7 @@ import math
 import numbers
 import operator
 import os
+import reprlib
 import struct
 import warnings
 from dataclasses import asdict, dataclass
@@ -50,24 +51,32 @@ class DatasetManifest:
     labels_path: str | None = None
 
 
-# a manifest field's test and what it expects; a boolean is not a count
-_STRING = (lambda value: isinstance(value, str), "a string")
-_COUNT = (lambda value: type(value) is int and value > 0, "a positive integer")
-_VIEW_LIST = (lambda value: isinstance(value, list) and len(value) > 0,
-              "a non-empty array")
+# a JSON field's test and what it expects; no integer test passes a boolean
+_INT64_END = 1 << 63
+_STRING = (lambda v: type(v) is str, "a string")
+_OBJECT = (lambda v: type(v) is dict, "an object")
+_BOOLEAN = (lambda v: type(v) is bool, "a boolean")
+_ARRAY = (lambda v: type(v) is list, "an array")
+_ARRAY_OR_NULL = (lambda v: v is None or type(v) is list, "an array or null")
+_NON_EMPTY_ARRAY = (lambda v: type(v) is list and v != [], "a non-empty array")
+_COUNT = (lambda v: type(v) is int and v > 0, "a positive integer")
+_COUNTS = (lambda v: type(v) is list and v != [] and all(map(_COUNT[0], v)),
+           "a non-empty array of positive integers")
+_INT64 = (lambda v: type(v) is int and 0 <= v < _INT64_END,
+          "an integer in [0, 2**63)")
 
 
-def _manifest_field(obj, where: str, name: str, check):
-    """obj[name], when obj is a JSON object holding it and it passes
-    `check`; otherwise a DatasetError naming `where` and the field."""
+def _field(obj, where: str, name: str, check):
+    """obj[name] if obj is a JSON object holding it and it passes `check`;
+    else a ValueError naming `where`, the field and a wrong value."""
     ok, expected = check
     if not isinstance(obj, dict):
-        raise DatasetError(f"{where} is not a JSON object")
+        raise ValueError(f"{where} is not a JSON object")
     if name not in obj:
-        raise DatasetError(f"{where} is missing field {name!r}")
+        raise ValueError(f"{where} is missing field {name!r}")
     if not ok(obj[name]):
-        raise DatasetError(f"{where} field {name!r} is {obj[name]!r}, "
-                           f"expected {expected}")
+        raise ValueError(f"{where} field {name!r} is "
+                         f"{reprlib.repr(obj[name])}, expected {expected}")
     return obj[name]
 
 
@@ -81,16 +90,19 @@ def load_manifest(path) -> DatasetManifest:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetError(f"manifest {path} is not valid JSON: {exc}")
     where = f"manifest {path}"
-    name = _manifest_field(raw, where, "name", _STRING)
-    n = _manifest_field(raw, where, "n", _COUNT)
-    views = []
-    for i, spec in enumerate(_manifest_field(raw, where, "views", _VIEW_LIST)):
-        at = f"{where} view {i}"
-        views.append(ViewSpec(path=_manifest_field(spec, at, "path", _STRING),
-                              dim=_manifest_field(spec, at, "dim", _COUNT)))
-    labels_path = None
-    if raw.get("labels_path") is not None:
-        labels_path = _manifest_field(raw, where, "labels_path", _STRING)
+    try:
+        name = _field(raw, where, "name", _STRING)
+        n = _field(raw, where, "n", _COUNT)
+        views = []
+        for i, spec in enumerate(_field(raw, where, "views", _NON_EMPTY_ARRAY)):
+            at = f"{where} view {i}"
+            views.append(ViewSpec(path=_field(spec, at, "path", _STRING),
+                                  dim=_field(spec, at, "dim", _COUNT)))
+        labels_path = None
+        if raw.get("labels_path") is not None:
+            labels_path = _field(raw, where, "labels_path", _STRING)
+    except ValueError as exc:
+        raise DatasetError(str(exc)) from None
     return DatasetManifest(name=name, n=n, views=views,
                            labels_path=labels_path)
 
@@ -284,7 +296,6 @@ _node_fields = operator.itemgetter("id", "kind", "depth", "split_feature",
 # such file. build_tree numbers fewer than 2n nodes for n rows, so a model
 # fit on fewer than 2**19 rows always saves.
 _NODE_ID_END = 1 << 20
-_INT64_END = 1 << 63
 
 
 def tree_to_doc(tree: DecisionTree, view_offsets: list[int]) -> dict:
@@ -396,17 +407,9 @@ def doc_to_tree(doc: dict) -> DecisionTree:
     """
     if doc.get("schema_version") != TREE_SCHEMA_VERSION:
         raise ValueError(f"unsupported tree schema: {doc.get('schema_version')}")
-    try:
-        feature_dim, root, k = doc["feature_dim"], doc["root"], doc["k"]
-        records = doc["nodes"]
-    except KeyError as exc:
-        raise ValueError(f"tree document lacks field {exc}") from None
-    for name, value in (("k", k), ("feature_dim", feature_dim), ("root", root)):
-        if type(value) is not int or not 0 <= value < _INT64_END:
-            raise ValueError(f"tree field {name!r} is not an integer in "
-                             f"[0, 2**63)")
-    if not isinstance(records, list):
-        raise ValueError("tree field 'nodes' is not an array")
+    k, feature_dim, root = (_field(doc, "tree", name, _INT64)
+                            for name in ("k", "feature_dim", "root"))
+    records = _field(doc, "tree", "nodes", _ARRAY)
     by_id = _records_by_id(records)
     if root not in by_id:
         raise ValueError(f"tree root {root} is not a node")
@@ -488,40 +491,15 @@ def save_model(model: ServedModel, path) -> None:
         f.write(payload)
 
 
-# the metadata fields load_model reads, with their JSON types
-_META_FIELDS = {
-    "config": (dict, "object"),
-    "view_dims": (list, "array"),
-    "standardizer": ((list, type(None)), "array or null"),
-    "converged": (bool, "boolean"),
-    "cycles_run": (int, "integer"),
-    "tree": (dict, "object"),
-}
-
-
-def _damaged(path, what: str) -> ValueError:
-    return ValueError(f"damaged model file {path}: metadata {what}")
+# the metadata fields load_model reads, with their checks
+_META_FIELDS = {"config": _OBJECT, "view_dims": _COUNTS,
+                "standardizer": _ARRAY_OR_NULL, "converged": _BOOLEAN,
+                "cycles_run": _INT64, "tree": _OBJECT}
 
 
 def _truncated(path, wanted: int, offset: int, got: int) -> ValueError:
     return ValueError(f"truncated model file {path}: wanted {wanted} bytes "
                       f"at offset {offset}, got {got}")
-
-
-def _check_meta(meta, path) -> None:
-    """Reject model metadata that lacks a field load_model reads or holds
-    it as the wrong JSON type, naming the file and the field."""
-    if not isinstance(meta, dict):
-        raise _damaged(path, "is not a JSON object")
-    for name, (kind, json_kind) in _META_FIELDS.items():
-        if name not in meta:
-            raise _damaged(path, f"field {name!r} is missing")
-        if not isinstance(meta[name], kind):
-            raise _damaged(path, f"field {name!r} is not a JSON {json_kind}")
-    view_dims = meta["view_dims"]
-    if not view_dims or not all(type(d) is int and d > 0 for d in view_dims):
-        raise _damaged(path, "field 'view_dims' is not a list of positive "
-                             "integers, or is empty")
 
 
 def _read_payload(path) -> bytes:
@@ -556,32 +534,49 @@ def _read_payload(path) -> bytes:
     return payload
 
 
+def _standardizer(pairs: list, view_dims: list[int]) -> list[tuple]:
+    """The per-view (mean, std) of metadata field 'standardizer': finite JSON
+    floats as save_model writes them (an int or a bool saves as other
+    bytes), each std above 0."""
+    pairs = [np.array(pair, dtype=object) for pair in pairs]
+    if [pair.shape for pair in pairs] != [(2, dim) for dim in view_dims]:
+        raise ValueError("metadata field 'standardizer' does not hold a mean "
+                         "and a std per view feature")
+    for v, pair in enumerate(pairs):
+        for (row, j), x in np.ndenumerate(pair):
+            if type(x) is not float or not math.isfinite(x) or row and x <= 0:
+                raise ValueError(f"metadata field 'standardizer' view {v} "
+                                 f"{('mean', 'std')[row]} {j} is "
+                                 f"{reprlib.repr(x)}, expected a finite "
+                                 f"float{' > 0' * row}")
+    return [tuple(pair.astype(np.float64)) for pair in pairs]
+
+
 def load_model(path) -> ServedModel:
     """The served model in a model file; a damaged file raises a
-    ValueError that names it."""
+    ValueError that names it and the field at fault."""
     payload = _read_payload(path)
     try:
         meta = json.loads(payload)
     except ValueError:                  # not UTF-8, or not JSON
-        raise _damaged(path, "is not JSON") from None
-    _check_meta(meta, path)
+        raise ValueError(f"damaged model file {path}: metadata is not "
+                         f"JSON") from None
     try:
-        cfg = PipelineConfig(**meta["config"])
-        cfg.validate()
-    except (TypeError, ValueError) as exc:  # a key it lacks, a bad value
-        raise _damaged(path, f"field 'config' is malformed: {exc}") from None
-    view_dims = meta["view_dims"]
-    standardizer = meta["standardizer"]
-    if standardizer is not None:
+        for name, check in _META_FIELDS.items():
+            _field(meta, "metadata", name, check)
         try:
-            pairs = [np.array(pair, dtype=np.float64) for pair in standardizer]
-        except (TypeError, ValueError):
-            pairs = []
-        if [pair.shape for pair in pairs] != [(2, dim) for dim in view_dims]:
-            raise _damaged(path, "field 'standardizer' does not hold a mean "
-                                 "and a std per view feature")
-        standardizer = [(mean, std) for mean, std in pairs]
-    try:
+            cfg = PipelineConfig(**meta["config"])
+            cfg.validate()
+        except (TypeError, ValueError) as exc:  # a key it lacks, a bad value
+            raise ValueError(f"metadata field 'config' is malformed: "
+                             f"{exc}") from None
+        view_dims, standardizer = meta["view_dims"], meta["standardizer"]
+        if (standardizer is not None) != cfg.standardize:
+            raise ValueError(f"metadata field 'standardizer' is "
+                             f"{reprlib.repr(standardizer)}, but config "
+                             f"field 'standardize' is {cfg.standardize}")
+        if standardizer is not None:
+            standardizer = _standardizer(standardizer, view_dims)
         model = ServedModel(config=cfg, tree=doc_to_tree(meta["tree"]),
                             view_dims=view_dims, standardizer=standardizer,
                             converged=meta["converged"],

@@ -36,8 +36,6 @@ import numpy as np
 
 from .kmeans import sq_dists
 
-_ACTIVATIONS = ("relu", "linear")
-
 # clamp for log() inside the cross-entropy; avoids -inf on saturated rows
 LOG_EPS = 1e-12
 
@@ -60,14 +58,12 @@ class DimensionError(ValueError):
 
 
 class DenseLayer:
-    """One fully connected layer: out = act(x @ w + b)."""
+    """One fully connected layer: out = x @ w + b, then a ReLU unless it is
+    the last layer of its stack (see Autoencoder)."""
 
-    def __init__(self, w, b, activation: str):
+    def __init__(self, w, b):
         self.w = np.asarray(w, dtype=np.float64)    # (in_dim, out_dim)
         self.b = np.asarray(b, dtype=np.float64)    # (out_dim,)
-        self.activation = activation
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise DimensionError(
                 f"layer shapes inconsistent: w {self.w.shape}, b {self.b.shape}"
@@ -90,8 +86,9 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
 class Autoencoder:
     """Symmetric encoder/decoder stack for one view.
 
-    Hidden layers are ReLU; the embedding layer and the reconstruction
-    output are linear so signed (standardized) data can be represented.
+    A layer's place sets its activation: the last of each stack (the
+    embedding and the reconstruction) is linear so signed (standardized)
+    data can be represented, and the others are ReLU (`relu`, per layer).
     """
 
     def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer]):
@@ -106,6 +103,8 @@ class Autoencoder:
                 raise DimensionError("layer dims do not chain")
         self.encoder = encoder
         self.decoder = decoder
+        self.relu = tuple(i < len(stack) - 1 for stack in (encoder, decoder)
+                          for i in range(len(stack)))
         self.flat_params = np.concatenate([p.ravel()
                                            for p in self.parameters()])
         for layer, (w, b) in zip(self.layers, _pairs(self.flat_params,
@@ -126,10 +125,9 @@ class Autoencoder:
         """Glorot-uniform weights, zero biases, seeded."""
         rng = np.random.default_rng(seed)
 
-        def stack(dims):    # ReLU layers, then a linear one
-            return [DenseLayer(glorot_uniform(fi, fo, rng), np.zeros(fo),
-                               "linear" if i == len(dims) - 2 else "relu")
-                    for i, (fi, fo) in enumerate(zip(dims, dims[1:]))]
+        def stack(dims):
+            return [DenseLayer(glorot_uniform(fi, fo, rng), np.zeros(fo))
+                    for fi, fo in zip(dims, dims[1:])]
 
         # the encoder draws its weights first
         return cls(stack([input_dim, *hidden_dims]),
@@ -147,12 +145,12 @@ class Autoencoder:
         return out
 
     @staticmethod
-    def _run(layers, x, outs):
-        """Fill outs[i] with act(x @ w + b) of layer i; return the last."""
-        for layer, out in zip(layers, outs):
+    def _run(layers, relu, x, outs):
+        """Fill outs[i] with layer i's x @ w + b, ReLU'd if relu[i]."""
+        for layer, is_relu, out in zip(layers, relu, outs):
             np.matmul(x, layer.w, out=out)
             out += layer.b
-            if layer.activation == "relu":
+            if is_relu:
                 np.maximum(out, 0.0, out=out)
             x = out
         return x
@@ -169,7 +167,7 @@ class Autoencoder:
         """Return the embedding Z, the encoder's output."""
         X = self._check_input(X)
         outs = [np.empty((X.shape[0], layer.out_dim)) for layer in self.encoder]
-        return self._run(self.encoder, X, outs)
+        return self._run(self.encoder, self.relu, X, outs)
 
     def loss_and_grads(self, X, yind, centers, lam: float, ws: "Workspace"):
         """Losses and exact analytic gradients of Lr + lam * Lce.
@@ -194,8 +192,8 @@ class Autoencoder:
         use_ce = ws.k > 0
         layers = self.layers
         ne = len(self.encoder)
-        Z = self._run(self.encoder, X, ws.out[:ne])
-        Xhat = self._run(self.decoder, Z, ws.out[ne:])
+        Z = self._run(self.encoder, self.relu, X, ws.out[:ne])
+        Xhat = self._run(self.decoder, self.relu[ne:], Z, ws.out[ne:])
 
         # the output delta first holds the squared residual for the loss
         np.subtract(Xhat, X, out=ws.res)
@@ -260,10 +258,10 @@ def center_count(yind, centers, lam: float) -> int:
 
 
 def workspace_key(ae: Autoencoder, n: int, k: int) -> tuple:
-    """What a Workspace must match: each layer's weight shape and
-    activation, the row count n and the center count k."""
-    return (tuple((layer.w.shape, layer.activation) for layer in ae.layers),
-            n, k)
+    """What a Workspace must match: each layer's weight shape, the ReLU
+    flags (which fix where the encoder ends), the row count n and the
+    center count k."""
+    return tuple(layer.w.shape for layer in ae.layers), ae.relu, n, k
 
 
 def _pairs(flat: np.ndarray, layers: list[DenseLayer]):
@@ -297,8 +295,8 @@ class Workspace:
         self.n, self.k = n, k
         self.key = workspace_key(ae, n, k)
         self.out = [np.empty((n, layer.out_dim)) for layer in layers]
-        self.mask = [np.empty((n, layer.out_dim), dtype=bool)
-                     if layer.activation == "relu" else None for layer in layers]
+        self.mask = [np.empty((n, layer.out_dim), dtype=bool) if relu else None
+                     for layer, relu in zip(layers, ae.relu)]
         self.delta = np.empty((n, ae.input_dim))
         self.res = np.empty((n, ae.input_dim))
         self.flat_grads = np.empty_like(ae.flat_params)
@@ -320,7 +318,7 @@ class Workspace:
         key = workspace_key(ae, n, k)
         if key != self.key:
             raise DimensionError(f"workspace built for {self.key}, called "
-                                 f"with {key} (layers, n, k)")
+                                 f"with {key} (shapes, relu, n, k)")
 
 
 class WorkspacePool:

@@ -168,10 +168,15 @@ def _check_finite(view: np.ndarray, v: int) -> None:
         raise ValueError(f"view {v} has a non-finite value in row {row}")
 
 
-def fit_standardizer(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and population std; constant features get std 1."""
-    mean = view.mean(axis=0)
-    std = view.std(axis=0)
+def fit_standardizer(view: np.ndarray,
+                     v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature mean and population std of view v; constant features get
+    std 1. A mean or std past the float range is a FloatingPointError."""
+    with _named(v, "standardization"):
+        mean = view.mean(axis=0)
+        std = view.std(axis=0)
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise FloatingPointError("overflowing mean or std")
     std = np.where(std == 0.0, 1.0, std)
     return mean, std
 
@@ -285,7 +290,8 @@ def initialize(views: list[np.ndarray], config: PipelineConfig) -> ModelState:
     view_dims = [v.shape[1] for v in views]
     standardizer = None
     if config.standardize:
-        standardizer = [fit_standardizer(v) for v in views]
+        standardizer = [fit_standardizer(view, v)
+                        for v, view in enumerate(views)]
     views = standardize(views, standardizer)
 
     autoencoders = [

@@ -154,7 +154,7 @@ class TestExportTree:
         assert out.startswith("digraph tree {")
 
     @pytest.mark.parametrize("meta, message", [
-        ({}, "field 'config' is missing"),
+        ({}, "is missing field 'config'"),
         ([1, 2], "is not a JSON object"),
     ], ids=["empty-object", "array"])
     def test_damaged_metadata_fails_cleanly(self, tmp_path, capsys, meta,

@@ -1,10 +1,13 @@
+import functools
 import hashlib
 import json
+import operator
 import os
 import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,7 +322,7 @@ class TestCsvIngest:
 
 
 def standardize(view):
-    return pipeline.standardize([view], [pipeline.fit_standardizer(view)])[0]
+    return pipeline.standardize([view], [pipeline.fit_standardizer(view, 0)])[0]
 
 
 class TestStandardize:
@@ -511,6 +514,13 @@ print(json.dumps(dict(counts, failures=failures)))
 """
 
 
+def with_entry(meta, view, row, j, value):
+    """meta with entry j of view `view`'s mean (row 0) or std (row 1) in
+    its standardizer set to `value`."""
+    meta["standardizer"][view][row][j] = value
+    return meta
+
+
 class TestModelSerialization:
     @pytest.fixture()
     def state(self):
@@ -629,18 +639,20 @@ class TestModelSerialization:
         cls.edit_meta(src, dst, edit_doc)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda meta: {}, "field 'config' is missing"),
+        (lambda meta: {}, "is missing field 'config'"),
         (lambda meta: [1, 2], "is not a JSON object"),
         (lambda meta: {k: v for k, v in meta.items() if k != "tree"},
-         "field 'tree' is missing"),
+         "is missing field 'tree'"),
         (lambda meta: dict(meta, converged="yes"),
-         "field 'converged' is not a JSON boolean"),
+         "field 'converged' is 'yes', expected a boolean"),
         (lambda meta: dict(meta, config=dict(meta["config"], depth=3)),
          "field 'config' is malformed: .*depth"),
         (lambda meta: dict(meta, view_dims=["3", 3]),
-         "field 'view_dims' is not a list of positive integers"),
+         "field 'view_dims' is \\['3', 3\\], expected a non-empty array of "
+         "positive integers"),
         (lambda meta: dict(meta, view_dims=[]),
-         "field 'view_dims' is not a list of positive integers, or is empty"),
+         "field 'view_dims' is \\[\\], expected a non-empty array of "
+         "positive integers"),
         (lambda meta: dict(meta, standardizer=meta["standardizer"][:1]),
          "field 'standardizer' does not hold a mean and a std per view "
          "feature"),
@@ -648,7 +660,7 @@ class TestModelSerialization:
          "field 'standardizer' does not hold a mean and a std per view "
          "feature"),
         (lambda meta: dict(meta, standardizer=5),
-         "field 'standardizer' is not a JSON array or null"),
+         "field 'standardizer' is 5, expected an array or null"),
         (lambda meta: dict(meta, config=dict(meta["config"], lam=-1)),
          "field 'config' is malformed: trade-off coefficient must be "
          "non-negative"),
@@ -658,12 +670,45 @@ class TestModelSerialization:
          "field 'config' is malformed: max_depth must be at least 1"),
         (lambda meta: dict(meta, config=dict(meta["config"], e1=0)),
          "field 'config' is malformed: e1 must be at least 1"),
+        (lambda meta: dict(meta, cycles_run=True),
+         "field 'cycles_run' is True, expected an integer in "
+         "\\[0, 2\\*\\*63\\)"),
+        (lambda meta: dict(meta, cycles_run=-1),
+         "field 'cycles_run' is -1, expected an integer in "
+         "\\[0, 2\\*\\*63\\)"),
+        (lambda meta: with_entry(meta, 0, 1, 2, 0.0),
+         "field 'standardizer' view 0 std 2 is 0.0, expected a finite float "
+         "> 0"),
+        (lambda meta: with_entry(meta, 1, 1, 0, -1.0),
+         "field 'standardizer' view 1 std 0 is -1.0, expected a finite float "
+         "> 0"),
+        (lambda meta: with_entry(meta, 0, 0, 1, float("nan")),
+         "field 'standardizer' view 0 mean 1 is nan, expected a finite "
+         "float$"),
+        (lambda meta: with_entry(meta, 0, 1, 0, float("inf")),
+         "field 'standardizer' view 0 std 0 is inf, expected a finite float "
+         "> 0"),
+        (lambda meta: with_entry(meta, 1, 0, 2, True),
+         "field 'standardizer' view 1 mean 2 is True, expected a finite "
+         "float$"),
+        (lambda meta: with_entry(meta, 1, 0, 2, 1),
+         "field 'standardizer' view 1 mean 2 is 1, expected a finite float$"),
+        (lambda meta: dict(meta, standardizer=None),
+         "field 'standardizer' is None, but config field 'standardize' is "
+         "True"),
+        (lambda meta: dict(meta, config=dict(meta["config"],
+                                             standardize=False)),
+         "field 'standardizer' is \\[\\[.*\\]\\], but config field "
+         "'standardize' is False"),
     ], ids=["empty-object", "array", "no-tree", "converged-string",
             "config-unknown-key", "view-dims-strings", "view-dims-empty",
             "standardizer-short",
             "standardizer-strings", "standardizer-number",
             "config-lam-negative", "config-k-string", "config-max-depth-zero",
-            "config-e1-zero"])
+            "config-e1-zero", "cycles-run-boolean", "cycles-run-negative",
+            "std-zero", "std-negative", "mean-nan", "std-infinity",
+            "mean-boolean", "mean-integer", "standardizer-null",
+            "standardizer-unused"])
     def test_damaged_metadata_rejected_at_load(self, tmp_path, state, edit,
                                                message):
         model, _ = state
@@ -747,7 +792,7 @@ class TestModelSerialization:
         dataio.save_model(model, path)
         self.edit_tree(path, tmp_path / "bad.imvc", lambda doc: doc.pop(field))
         with pytest.raises(ValueError, match=f"damaged model file .*bad.imvc: "
-                                             f"tree document lacks field "
+                                             f"tree is missing field "
                                              f"'{field}'"):
             dataio.load_model(tmp_path / "bad.imvc")
 
@@ -788,13 +833,16 @@ class TestModelSerialization:
         (lambda doc: doc["nodes"][0].update(kind="Internal"),
          "tree node 0 field 'kind' is not \"internal\" or \"leaf\""),
         (lambda doc: doc.update(k="2"),
-         "tree field 'k' is not an integer"),
+         "tree field 'k' is '2', expected an integer in "
+         "\\[0, 2\\*\\*63\\)"),
         (lambda doc: doc.update(feature_dim=6.0),
-         "tree field 'feature_dim' is not an integer"),
+         "tree field 'feature_dim' is 6.0, expected an integer in "
+         "\\[0, 2\\*\\*63\\)"),
         (lambda doc: doc.update(root=False),
-         "tree field 'root' is not an integer"),
+         "tree field 'root' is False, expected an integer in "
+         "\\[0, 2\\*\\*63\\)"),
         (lambda doc: doc.update(nodes={}),
-         "tree field 'nodes' is not an array"),
+         "tree field 'nodes' is \\{\\}, expected an array"),
         (lambda doc: doc["nodes"][0].update(left=0),
          "tree node 0 is reached twice from the root"),
         (lambda doc: doc["nodes"][0].update(right=1),
@@ -855,6 +903,64 @@ class TestModelSerialization:
         assert result["cases"] == 9 * 9 * tree.n_nodes
         assert result["loaded"] > 0 and result["rejected"] > 0
         assert result["failures"] == []
+
+    def test_every_metadata_edit_loads_or_is_rejected(self, tmp_path):
+        """Each metadata field, config field, view width and standardizer
+        entry of a standardized two-view model set to each of nine JSON
+        values and signed again: the file loads, routes every row to a
+        label in [0, k) and saves again to the same bytes, or raises a
+        ValueError naming it. A RuntimeWarning is an error."""
+        rng = np.random.default_rng(3)
+        views = [rng.standard_normal((60, 1)), rng.standard_normal((60, 3))]
+        tree = build_tree(np.hstack(views), rng.integers(0, 3, size=60),
+                          max_depth=3, min_num=2, k=3)
+        model = pipeline.ServedModel(
+            config=PipelineConfig(k=3, outer_cycles=3, standardize=True),
+            tree=tree, view_dims=[1, 3], converged=True, cycles_run=2,
+            standardizer=[(view.mean(axis=0), view.std(axis=0))
+                          for view in views])
+        dataio.save_model(model, tmp_path / "model.bin")
+        meta = json.loads((tmp_path / "model.bin").read_bytes()[48:])
+        fields = [(name,) for name in meta]
+        fields += [("config", name) for name in meta["config"]]
+        fields += [("view_dims", v) for v in range(2)]
+        fields += [("standardizer", v, row, j) for v, dim in enumerate([1, 3])
+                   for row in (0, 1) for j in range(dim)]
+        values = [None, "x", [], {}, True, -1, 2**40, 1.5, float("nan")]
+        bad, again = tmp_path / "bad.imvc", tmp_path / "again.imvc"
+        counts = {"loaded": 0, "rejected": 0}
+        failures = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for *parents, last in fields:
+                for value in values:
+                    edited = json.loads(json.dumps(meta))
+                    functools.reduce(operator.getitem, parents,
+                                     edited)[last] = value
+                    blob = model_file(json.dumps(
+                        edited, sort_keys=True, separators=(",", ":")
+                    ).encode())
+                    bad.write_bytes(blob)
+                    case = f"{[*parents, last]}={value!r}"
+                    try:
+                        served = dataio.load_model(bad)
+                    except ValueError as exc:
+                        counts["rejected"] += 1
+                        if str(bad) not in str(exc):
+                            failures.append(f"{case}: {exc}")
+                        continue
+                    counts["loaded"] += 1
+                    labels = served.predict(views)
+                    if not ((labels >= 0) & (labels < 3)).all():
+                        failures.append(f"{case}: predicted "
+                                        f"{sorted(set(labels))}")
+                    dataio.save_model(served, again)
+                    if again.read_bytes() != blob:
+                        failures.append(f"{case}: saves as other bytes")
+        # 6 metadata fields, 10 config fields, 2 widths, 2 * (1 + 3) entries
+        assert len(fields) == 26
+        assert counts["loaded"] > 0 and counts["rejected"] > 0
+        assert failures == []
 
     def test_tree_wider_than_the_views_rejected_at_load(self, tmp_path, state):
         model, _ = state

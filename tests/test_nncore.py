@@ -25,11 +25,12 @@ def tiny_ae(input_dim=3, hidden=(4, 2), seed=7):
     return Autoencoder.create(input_dim, hidden, seed=seed)
 
 
-def hand_rolled(layers, h):
-    """The layers applied by explicit matmul and ReLU, one at a time."""
-    for layer in layers:
+def hand_rolled(stack, h):
+    """The layers of one stack applied by explicit matmul, one at a time,
+    with a ReLU after each but the last."""
+    for i, layer in enumerate(stack):
         h = h @ layer.w + layer.b
-        if layer.activation == "relu":
+        if i < len(stack) - 1:
             h = np.maximum(h, 0.0)
     return h
 
@@ -46,8 +47,8 @@ class TestForward:
         assert loss_and_grads(ae, X)[0] == np.sum(np.square(X))
 
     def test_identity_one_by_one_linear_layers(self):
-        enc = [DenseLayer(np.eye(1), np.zeros(1), "linear")]
-        dec = [DenseLayer(np.eye(1), np.zeros(1), "linear")]
+        enc = [DenseLayer(np.eye(1), np.zeros(1))]
+        dec = [DenseLayer(np.eye(1), np.zeros(1))]
         ae = Autoencoder(enc, dec)
         np.testing.assert_allclose(ae.forward(np.array([[2.0]])), [[2.0]])
         assert loss_and_grads(ae, np.array([[2.0]]))[0] == 0.0
@@ -75,8 +76,8 @@ def reconstruction_loss(X, scale=1.0, shift=0.0):
     the embedding and an identity plus `shift` back out."""
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
-    ae = Autoencoder([DenseLayer(scale * np.eye(d), np.zeros(d), "linear")],
-                     [DenseLayer(np.eye(d), np.broadcast_to(shift, d), "linear")])
+    ae = Autoencoder([DenseLayer(scale * np.eye(d), np.zeros(d))],
+                     [DenseLayer(np.eye(d), np.broadcast_to(shift, d))])
     return loss_and_grads(ae, X)[0]
 
 
@@ -211,8 +212,8 @@ def max_rel_error(analytic, numeric):
 class TestBackward:
     def test_zero_residual_gives_zero_output_layer_gradient(self):
         # identity map: zero reconstruction residual everywhere
-        enc = [DenseLayer(np.eye(2), np.zeros(2), "linear")]
-        dec = [DenseLayer(np.eye(2), np.zeros(2), "linear")]
+        enc = [DenseLayer(np.eye(2), np.zeros(2))]
+        dec = [DenseLayer(np.eye(2), np.zeros(2))]
         ae = Autoencoder(enc, dec)
         grads = loss_and_grads(ae, np.array([[1.0, -2.0]]))[2]
         for g in grads:

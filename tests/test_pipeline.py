@@ -632,6 +632,40 @@ class TestNonFiniteGradient:
                             r"cycle 2 feature-phase seeding", str(info.value))
 
 
+
+class TestStandardizationOverflow:
+    """A finite view whose per-feature std overflows (entries from about
+    1e154 up) is rejected before any training, naming the view."""
+
+    @staticmethod
+    def views(scale, at=0):
+        rng = np.random.default_rng(0)
+        views = [rng.standard_normal((60, 4)), rng.standard_normal((60, 3))]
+        views[at] *= scale
+        return views
+
+    config = PipelineConfig(k=3, e1=2, e2=2, outer_cycles=1, standardize=True)
+
+    def test_overflow_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError) as info:
+                pipeline.fit(self.views(1e200), self.config)
+        assert str(info.value) == (
+            "view 0: overflowing mean or std in standardization")
+
+    def test_callers_errstate_overflow_is_named(self):
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError) as info:
+                pipeline.fit(self.views(1e200, at=1), self.config)
+        assert re.fullmatch(r"view 1: overflow encountered in \w+ in "
+                            r"standardization", str(info.value))
+
+    def test_largest_scale_below_the_overflow_fits(self):
+        state = pipeline.fit(self.views(1e153), self.config)
+        assert all(np.isfinite(pair).all() for pair in state.standardizer)
+
+
 def test_fit_reproducible_bytes(tmp_path, small_dataset):
     views, _ = small_dataset
     config = PipelineConfig(k=3, e1=10, e2=10, min_num=5, seed=9,

@@ -44,11 +44,13 @@ def training_digest(state):
 
 
 def reference_loss_and_grads(ae, X, yind=None, centers=None, lam=0.0):
-    def run(layers, x, caches):
-        for layer in layers:
+    def run(stack, x, caches):
+        # a ReLU after every layer of the stack but the last
+        for i, layer in enumerate(stack):
             pre = x @ layer.w + layer.b
-            caches.append((x, pre, layer))
-            x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+            relu = i < len(stack) - 1
+            caches.append((x, pre, layer, relu))
+            x = np.maximum(pre, 0.0) if relu else pre
         return x
 
     enc_caches, dec_caches = [], []
@@ -70,8 +72,8 @@ def reference_loss_and_grads(ae, X, yind=None, centers=None, lam=0.0):
     def backprop(caches, grad_out):
         grads_wb = []
         g = grad_out
-        for x_in, pre, layer in reversed(caches):
-            if layer.activation == "relu":
+        for x_in, pre, layer, relu in reversed(caches):
+            if relu:
                 g = g * (pre > 0)
             grads_wb.append((x_in.T @ g, g.sum(axis=0)))
             g = g @ layer.w.T
@@ -155,11 +157,10 @@ def training_problems(draw):
     seed = draw(st.integers(0, 2**16))
     ae = Autoencoder.create(input_dim, hidden, seed=seed)
     # kill some ReLU units: a bias far below any pre-activation keeps them at 0
-    for layer in ae.layers:
-        if layer.activation == "relu":
-            dead = draw(st.lists(st.booleans(), min_size=layer.out_dim,
-                                 max_size=layer.out_dim))
-            layer.b[np.asarray(dead, dtype=bool)] = -1e3
+    for layer in (*ae.encoder[:-1], *ae.decoder[:-1]):  # the ReLU layers
+        dead = draw(st.lists(st.booleans(), min_size=layer.out_dim,
+                             max_size=layer.out_dim))
+        layer.b[np.asarray(dead, dtype=bool)] = -1e3
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, input_dim))
     yind = one_hot(rng.integers(k, size=n), k)
@@ -224,17 +225,18 @@ class TestWorkspace:
             ae.loss_and_grads(X, None, None, 0.0,
                               Workspace(other, X.shape[0], 0))
 
-    def test_workspace_of_other_activations_rejected(self):
-        # same weight shapes, but a ReLU workspace would mask linear layers
+    def test_workspace_of_other_split_rejected(self):
+        # the same weight shapes split after the first layer, not the
+        # second: the ReLU masks and the embedding differ
         ae, X, _, _ = self.problem()
-        linear = Autoencoder(
-            [DenseLayer(layer.w.copy(), layer.b.copy(), "linear")
-             for layer in ae.encoder],
-            [DenseLayer(layer.w.copy(), layer.b.copy(), "linear")
-             for layer in ae.decoder])
-        with pytest.raises(nncore.DimensionError):
-            linear.loss_and_grads(X, None, None, 0.0,
-                                  Workspace(ae, X.shape[0], 0))
+        layers = [DenseLayer(layer.w.copy(), layer.b.copy())
+                  for layer in ae.layers]
+        other = Autoencoder(layers[:1], layers[1:])
+        assert other.relu != ae.relu
+        for built, called in ((ae, other), (other, ae)):
+            with pytest.raises(nncore.DimensionError):
+                called.loss_and_grads(X, None, None, 0.0,
+                                      Workspace(built, X.shape[0], 0))
 
 
 class TestEpochAllocation:
@@ -289,8 +291,8 @@ class TestAdamFailure:
 def test_non_finite_loss_stops_training_before_any_change():
     # every residual is ±1e154: their squares sum past the float range,
     # while the zero weights and the cancelling rows keep every gradient 0
-    ae = Autoencoder([DenseLayer(np.zeros((1, 1)), np.zeros(1), "linear")],
-                     [DenseLayer(np.zeros((1, 1)), np.zeros(1), "linear")])
+    ae = Autoencoder([DenseLayer(np.zeros((1, 1)), np.zeros(1))],
+                     [DenseLayer(np.zeros((1, 1)), np.zeros(1))])
     X = np.array([[1e154], [-1e154], [1e154], [-1e154]])
     with pytest.raises(FloatingPointError) as info:
         train_view(ae, X, 2, 0.01)
