@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dtree import HOLE, DecisionTree, feature_attribution
-from .pipeline import PipelineConfig, ServedModel
+from .pipeline import PipelineConfig, ServedModel, _check_views
 
 MODEL_MAGIC = b"IMVC"
 MODEL_VERSION = 2
@@ -207,7 +207,7 @@ def load_labels(path) -> np.ndarray:
     if mat.shape[1] != 1:
         raise DatasetError(f"labels file {path} must have one column")
     col = mat.ravel()
-    whole = (col == np.floor(col)) & (np.abs(col) < 2.0**63)
+    whole = _is_int64(col)
     if not whole.all():
         row = int(np.argmin(whole))
         raise DatasetError(
@@ -215,6 +215,11 @@ def load_labels(path) -> np.ndarray:
             f"{path} is not a 64-bit integer"
         )
     return col.astype(np.int64)
+
+
+def _is_int64(col: np.ndarray) -> np.ndarray:
+    """Which floats of `col` cast to int64 without truncation."""
+    return (col == np.floor(col)) & (np.abs(col) < 2.0**63)
 
 
 def write_labels(path, labels) -> None:
@@ -230,6 +235,8 @@ def synth_multiview(n_per_cluster: int, k: int, n_views: int, dims,
     """
     if k < 2 or n_views < 1 or n_per_cluster < 1:
         raise ValueError("need k >= 2, n_views >= 1, n_per_cluster >= 1")
+    if not 0 <= noise < math.inf:       # NaN fails too
+        raise ValueError(f"noise is {noise}, expected a finite number >= 0")
     if np.isscalar(dims):
         dims = [dims] * n_views
     if len(dims) != n_views:
@@ -262,20 +269,26 @@ def synth_multiview(n_per_cluster: int, k: int, n_views: int, dims,
 
 
 def write_dataset(out_dir, views, truth=None) -> Path:
-    """Write view CSVs, optional labels and a manifest; returns its path."""
+    """Write view CSVs, optional labels and a manifest; returns its path.
+    Views that fit rejects, no rows, or truth other than one 64-bit integer
+    per row raise ValueError before anything is written."""
+    views = _check_views(views)
+    n = views[0].shape[0]
+    if n == 0:
+        raise ValueError("the views have no rows, expected at least 1")
+    if truth is not None:
+        truth = np.asarray(truth, dtype=np.float64)
+        if truth.shape != (n,) or not _is_int64(truth).all():
+            raise ValueError(f"truth is {reprlib.repr(truth.tolist())}, "
+                             f"expected {n} 64-bit integers")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = []
     for i, view in enumerate(views):
         fname = f"view_{i}.csv"
-        np.savetxt(out_dir / fname, np.asarray(view, dtype=np.float64),
-                   delimiter=",", fmt="%.17g")
-        specs.append({"path": fname, "dim": int(np.asarray(view).shape[1])})
-    manifest = {
-        "name": "synthetic",
-        "n": int(np.asarray(views[0]).shape[0]),
-        "views": specs,
-    }
+        np.savetxt(out_dir / fname, view, delimiter=",", fmt="%.17g")
+        specs.append({"path": fname, "dim": view.shape[1]})
+    manifest = {"name": "synthetic", "n": n, "views": specs}
     if truth is not None:
         write_labels(out_dir / "labels.csv", truth)
         manifest["labels_path"] = "labels.csv"
@@ -328,17 +341,6 @@ def _bad_node(node_id: int, field: str, what: str) -> ValueError:
     return ValueError(f"tree node {node_id} field {field!r} {what}")
 
 
-def _finite(value) -> float | None:
-    """value as a float when it is a finite JSON number, else None."""
-    if type(value) not in (int, float):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:               # an integer past the float range
-        return None
-    return value if math.isfinite(value) else None
-
-
 def _records_by_id(records: list) -> dict[int, tuple]:
     """Each node record's fields by its id. A record that is not an object
     or lacks a field, or an id that is not a unique integer in
@@ -366,7 +368,8 @@ def _node_row(fields: tuple, depth: int, k: int, feature_dim: int,
               by_id: dict) -> tuple:
     """The row (feature, threshold, left, right, label, count, depth) of a
     node record's `fields`, which the walk from the root reaches at
-    `depth`. A JSON integer is a Python int, and a boolean is not one."""
+    `depth`, in the one form tree_to_doc writes. A JSON integer is a Python
+    int, and a boolean is not one."""
     node_id, kind, rec_depth, feature, threshold, label, left, right, \
         count = fields
     if rec_depth != depth or type(rec_depth) is not int:
@@ -377,17 +380,22 @@ def _node_row(fields: tuple, depth: int, k: int, feature_dim: int,
     if kind == "leaf":
         if type(label) is not int or not 0 <= label < k:
             raise _bad_node(node_id, "label", f"is not an integer in [0, {k})")
+        for field, value in (("split_feature", feature), ("left", left),
+                             ("split_value", threshold), ("right", right)):
+            if value is not None:
+                raise _bad_node(node_id, field, "is not null at a leaf")
         return -1, 0.0, -1, -1, label, count, depth
     if kind != "internal":
         raise _bad_node(node_id, "kind", 'is not "internal" or "leaf"')
+    if label is not None:
+        raise _bad_node(node_id, "label", "is not null at an internal node")
     if type(feature) is not int:
         raise _bad_node(node_id, "split_feature", "is not an integer")
     if not 0 <= feature < feature_dim:
         raise ValueError(f"tree node {node_id} splits on feature {feature}, "
                          f"outside [0, {feature_dim})")
-    threshold = _finite(threshold)
-    if threshold is None:
-        raise _bad_node(node_id, "split_value", "is not a finite number")
+    if type(threshold) is not float or not math.isfinite(threshold):
+        raise _bad_node(node_id, "split_value", "is not a finite float")
     for field, child in (("left", left), ("right", right)):
         if type(child) is not int or child not in by_id:
             raise ValueError(f"tree node {node_id} has a missing child "
@@ -467,12 +475,8 @@ _HEADER = struct.Struct("<4sI32sQ")
 
 def save_model(model: ServedModel, path) -> None:
     """Write what serving reads of `model`, a fitted ModelState or a loaded
-    ServedModel: the header, then one JSON payload. A tree with a node id
-    that load_model would reject raises ValueError before the file opens."""
-    last_id = model.tree.ids()[-1]
-    if last_id >= _NODE_ID_END:
-        raise ValueError(f"a model file holds node ids below "
-                         f"{_NODE_ID_END}; this tree has id {last_id}")
+    ServedModel: the header, then one JSON payload. A payload that
+    load_model would reject raises ValueError before the file opens."""
     standardizer = model.standardizer
     if standardizer is not None:
         standardizer = [[mean.tolist(), std.tolist()]
@@ -485,6 +489,7 @@ def save_model(model: ServedModel, path) -> None:
         "cycles_run": model.cycles_run,
         "tree": tree_to_doc(model.tree, model.view_offsets),
     }, sort_keys=True, separators=(",", ":")).encode()
+    _read_model(payload, f"cannot save model file {path}")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION,
                              hashlib.sha256(payload).digest(), len(payload)))
@@ -552,15 +557,14 @@ def _standardizer(pairs: list, view_dims: list[int]) -> list[tuple]:
     return [tuple(pair.astype(np.float64)) for pair in pairs]
 
 
-def load_model(path) -> ServedModel:
-    """The served model in a model file; a damaged file raises a
-    ValueError that names it and the field at fault."""
-    payload = _read_payload(path)
+def _read_model(payload: bytes, where: str) -> ServedModel:
+    """The served model in a model file's `payload`, which must hold it in
+    the one form save_model writes; else a ValueError that starts with
+    `where` and names the field at fault."""
     try:
         meta = json.loads(payload)
     except ValueError:                  # not UTF-8, or not JSON
-        raise ValueError(f"damaged model file {path}: metadata is not "
-                         f"JSON") from None
+        raise ValueError(f"{where}: metadata is not JSON") from None
     try:
         for name, check in _META_FIELDS.items():
             _field(meta, "metadata", name, check)
@@ -570,6 +574,10 @@ def load_model(path) -> ServedModel:
         except (TypeError, ValueError) as exc:  # a key it lacks, a bad value
             raise ValueError(f"metadata field 'config' is malformed: "
                              f"{exc}") from None
+        if meta["cycles_run"] > cfg.outer_cycles:   # fit never runs more
+            raise ValueError(f"metadata field 'cycles_run' is "
+                             f"{meta['cycles_run']}, past config field "
+                             f"'outer_cycles' {cfg.outer_cycles}")
         view_dims, standardizer = meta["view_dims"], meta["standardizer"]
         if (standardizer is not None) != cfg.standardize:
             raise ValueError(f"metadata field 'standardizer' is "
@@ -596,5 +604,11 @@ def load_model(path) -> ServedModel:
             raise ValueError(f"tree field 'view_offsets' is {offsets!r}, "
                              f"the views' {model.view_offsets}")
     except ValueError as exc:
-        raise ValueError(f"damaged model file {path}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
     return model
+
+
+def load_model(path) -> ServedModel:
+    """The served model in a model file; a damaged file raises a
+    ValueError that names it and the field at fault."""
+    return _read_model(_read_payload(path), f"damaged model file {path}")

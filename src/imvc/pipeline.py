@@ -128,7 +128,7 @@ def _check_views(views: list[np.ndarray],
     """
     views = [np.asarray(v, dtype=np.float64) for v in views]
     if view_dims is None and not views:
-        raise ValueError("fit needs at least one view")
+        raise ValueError("expected at least one view, got none")
     if view_dims is not None and len(views) != len(view_dims):
         raise ValueError(f"expected {len(view_dims)} views, got {len(views)}")
     for v, view in enumerate(views):

@@ -57,6 +57,14 @@ class TestSynth:
         assert not (tmp_path / "ds").exists()
 
 
+    def test_nan_noise_fails_before_any_file(self, tmp_path, capsys):
+        rc = main(["synth", "--noise", "nan", "--out", str(tmp_path / "ds")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: noise is nan, expected a "
+                                           "finite number >= 0\n")
+        assert not (tmp_path / "ds").exists()
+
+
 class TestEval:
     def test_identical_files_print_ones(self, dataset_dir, capsys):
         labels = dataset_dir / "labels.csv"

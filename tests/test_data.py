@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -321,6 +322,33 @@ class TestCsvIngest:
             load_view(tmp_path, f"1,2\n3,{cell}\n")
 
 
+class TestWriteDataset:
+    @pytest.mark.parametrize("views, truth, message", [
+        ([np.ones((5, 2)), np.ones((4, 2))], None,
+         "view 1 has 4 rows, expected 5"),
+        ([np.array([[0.0], [np.nan]])], None,
+         "view 0 has a non-finite value in row 1"),
+        ([np.ones((3, 2)), np.ones((3, 0))], None,
+         "view 1 has no features, expected at least 1"),
+        ([np.ones((0, 2))], None, "the views have no rows, expected at least 1"),
+        ([np.ones((3, 2))], [0, 1],
+         "truth is [0.0, 1.0], expected 3 64-bit integers"),
+        ([np.ones(3)], None,
+         "view 0 has shape (3,), expected (rows, features)"),
+        ([], None, "expected at least one view, got none"),
+        ([np.ones((3, 2))], [0.0, 1.7, 2.2],
+         "truth is [0.0, 1.7, 2.2], expected 3 64-bit integers"),
+    ], ids=["rows-differ", "view-nan", "view-zero-width", "no-rows",
+            "truth-short", "view-1d", "no-views", "truth-fractional"])
+    def test_dataset_the_loader_rejects_is_not_written(self, tmp_path, views,
+                                                       truth, message):
+        """write_dataset writes only what load_dataset reads back: input
+        breaking one of its rules raises before anything is written."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataio.write_dataset(tmp_path / "ds", views, truth)
+        assert not (tmp_path / "ds").exists()
+
+
 def standardize(view):
     return pipeline.standardize([view], [pipeline.fit_standardizer(view, 0)])[0]
 
@@ -356,6 +384,12 @@ class TestSynth:
         with pytest.raises(ValueError, match=rf"^view {view} has width 2.7, "
                                              r"expected an integer$"):
             dataio.synth_multiview(5, 2, n_views, dims, 0.5, 0)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.5])
+    def test_noise_not_a_finite_number_at_least_0_rejected(self, noise):
+        with pytest.raises(ValueError, match=rf"^noise is {noise}, expected "
+                                             rf"a finite number >= 0$"):
+            dataio.synth_multiview(5, 2, 2, 3, noise, 0)
 
     def test_cluster_sizes(self):
         _, truth = dataio.synth_multiview(7, 3, 1, 2, noise=0.5, seed=2)
@@ -462,9 +496,9 @@ print(json.dumps({"cases": len(cases), "failures": failures}))
 
 
 # sets each field of each node record of a model's tree to each of nine
-# JSON values and signs the payload again; each file must load and route
-# every row to a label in [0, k), or raise a ValueError naming it. Prints
-# the counts and what did neither.
+# JSON values and signs the payload again; each file must load, route
+# every row to a label in [0, k) and save again to its own bytes, or raise
+# a ValueError naming it. Prints the counts and what did neither.
 TREE_EDITS = """
 import hashlib, json, resource, struct, sys
 cap = 1 << 30
@@ -472,7 +506,8 @@ resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import numpy as np
 from imvc import data
 work = sys.argv[1]
-src, bad = work + "/model.bin", work + "/bad.imvc"
+src, bad, again = (work + name for name in ("/model.bin", "/bad.imvc",
+                                            "/again.imvc"))
 rows = np.load(work + "/rows.npy")
 views = [rows[:, :1], rows[:, 1:]]
 meta = json.loads(open(src, "rb").read()[48:])
@@ -486,10 +521,11 @@ for index in range(len(meta["tree"]["nodes"])):
             edited["tree"]["nodes"][index][field] = value
             payload = json.dumps(edited, sort_keys=True,
                                  separators=(",", ":")).encode()
+            blob = (b"IMVC" + struct.pack("<I", 2)
+                    + hashlib.sha256(payload).digest()
+                    + struct.pack("<Q", len(payload)) + payload)
             with open(bad, "wb") as f:
-                f.write(b"IMVC" + struct.pack("<I", 2)
-                        + hashlib.sha256(payload).digest()
-                        + struct.pack("<Q", len(payload)) + payload)
+                f.write(blob)
             case = f"node #{index} {field}={value!r}"
             counts["cases"] += 1
             try:
@@ -510,6 +546,10 @@ for index in range(len(meta["tree"]["nodes"])):
                 continue
             if not ((labels >= 0) & (labels < model.config.k)).all():
                 failures.append(f"{case}: predicted {sorted(set(labels))}")
+            data.save_model(model, again)
+            with open(again, "rb") as f:
+                if f.read() != blob:
+                    failures.append(f"{case}: saves as other bytes")
 print(json.dumps(dict(counts, failures=failures)))
 """
 
@@ -676,6 +716,8 @@ class TestModelSerialization:
         (lambda meta: dict(meta, cycles_run=-1),
          "field 'cycles_run' is -1, expected an integer in "
          "\\[0, 2\\*\\*63\\)"),
+        (lambda meta: dict(meta, cycles_run=2),
+         "field 'cycles_run' is 2, past config field 'outer_cycles' 1"),
         (lambda meta: with_entry(meta, 0, 1, 2, 0.0),
          "field 'standardizer' view 0 std 2 is 0.0, expected a finite float "
          "> 0"),
@@ -706,6 +748,7 @@ class TestModelSerialization:
             "standardizer-strings", "standardizer-number",
             "config-lam-negative", "config-k-string", "config-max-depth-zero",
             "config-e1-zero", "cycles-run-boolean", "cycles-run-negative",
+            "cycles-run-past-the-config",
             "std-zero", "std-negative", "mean-nan", "std-infinity",
             "mean-boolean", "mean-integer", "standardizer-null",
             "standardizer-unused"])
@@ -721,14 +764,57 @@ class TestModelSerialization:
                                  f"{message}"):
             dataio.load_model(bad)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(config=PipelineConfig(k=3, standardize=True)),
+         "metadata field 'standardizer' is None, but config field "
+         "'standardize' is True"),
+        (dict(config=PipelineConfig(k=3, standardize=True),
+              standardizer=[(np.zeros(1), np.ones(1)),
+                            (np.zeros(1), np.zeros(1))]),
+         "metadata field 'standardizer' view 1 std 0 is 0.0, expected a "
+         "finite float > 0"),
+        (dict(config=PipelineConfig(k=4)), "tree field 'k' is 3, the config's 4"),
+        (dict(view_dims=[1, 2]), "tree has 2 features, the views 3"),
+        (dict(config=PipelineConfig(k=3, lr=-1)),
+         "metadata field 'config' is malformed: learning rate must be "
+         "positive"),
+        (dict(config=PipelineConfig(k=3, outer_cycles=5), cycles_run=99),
+         "metadata field 'cycles_run' is 99, past config field "
+         "'outer_cycles' 5"),
+    ], ids=["standardizer-missing", "std-zero", "k-past-the-tree",
+            "views-narrower-than-the-tree", "lr-negative",
+            "cycles-run-past-the-config"])
+    def test_model_the_loader_rejects_is_not_saved(self, tmp_path, change,
+                                                   message):
+        """save_model writes only files that load_model reads: a model
+        breaking one of its rules raises before the file opens, so no file
+        is made and a good model at the path keeps its bytes."""
+        tree = make_tree({0: (0, 0.5, 1, 2), 1: 0, 2: 2}, k=3, feature_dim=2)
+        good = pipeline.ServedModel(config=PipelineConfig(k=3), tree=tree,
+                                    view_dims=[1, 1])
+        bad = dataclasses.replace(good, **change)
+        path = tmp_path / "model.imvc"
+        match = (f"^cannot save model file {re.escape(str(path))}: "
+                 f"{re.escape(message)}$")
+        with pytest.raises(ValueError, match=match):
+            dataio.save_model(bad, path)
+        assert not path.exists()
+        dataio.save_model(good, path)
+        blob = path.read_bytes()
+        with pytest.raises(ValueError, match=match):
+            dataio.save_model(bad, path)
+        assert path.read_bytes() == blob
+
     def test_tree_past_the_id_bound_is_not_saved(self, tmp_path, monkeypatch):
         tree = make_tree({0: (0, 0.5, 1, 4), 1: 0, 4: 1}, k=2, feature_dim=1)
         model = pipeline.ServedModel(config=PipelineConfig(k=2), tree=tree,
                                      view_dims=[1])
         monkeypatch.setattr(dataio, "_NODE_ID_END", 4)
         path = tmp_path / "model.bin"
-        with pytest.raises(ValueError, match="node ids below 4; this tree "
-                                             "has id 4"):
+        with pytest.raises(ValueError, match="cannot save model file "
+                                             ".*model.bin: tree node #2 field "
+                                             "'id' is not an integer in "
+                                             "\\[0, 4\\)"):
             dataio.save_model(model, path)
         assert not path.exists()
         monkeypatch.setattr(dataio, "_NODE_ID_END", 5)
@@ -825,11 +911,11 @@ class TestModelSerialization:
         (lambda doc: doc["nodes"][2].update(label=2),
          "tree node 2 field 'label' is not an integer in \\[0, 2\\)"),
         (lambda doc: doc["nodes"][0].update(split_value="0.5"),
-         "tree node 0 field 'split_value' is not a finite number"),
+         "tree node 0 field 'split_value' is not a finite float"),
         (lambda doc: doc["nodes"][0].update(split_value=float("nan")),
-         "tree node 0 field 'split_value' is not a finite number"),
+         "tree node 0 field 'split_value' is not a finite float"),
         (lambda doc: doc["nodes"][0].update(split_value=10**400),
-         "tree node 0 field 'split_value' is not a finite number"),
+         "tree node 0 field 'split_value' is not a finite float"),
         (lambda doc: doc["nodes"][0].update(kind="Internal"),
          "tree node 0 field 'kind' is not \"internal\" or \"leaf\""),
         (lambda doc: doc.update(k="2"),
@@ -886,9 +972,10 @@ class TestModelSerialization:
 
     def test_every_tree_field_edit_loads_or_is_rejected(self, tmp_path):
         """Each field of each node of a small tree set to each of nine JSON
-        values and signed again: the file loads and routes every row to a
-        label in [0, k), or raises a ValueError naming it. A hang or a huge
-        allocation fails the test through `run_script`'s limits."""
+        values and signed again: the file loads, routes every row to a
+        label in [0, k) and saves again to the same bytes, or raises a
+        ValueError naming it. A hang or a huge allocation fails the test
+        through `run_script`'s limits."""
         rng = np.random.default_rng(3)
         X = rng.standard_normal((60, 4))
         tree = build_tree(X, rng.integers(0, 3, size=60), max_depth=3,
