@@ -123,23 +123,19 @@ class DecisionTree:
                 stack.append((self.right[node_id], rows.compress(~go_left)))
 
     def _layout(self, views: Sequence[np.ndarray]) -> tuple[int, list[int]]:
-        """The views' common row count and column offsets."""
-        n = views[0].shape[0]
-        for v, view in enumerate(views):
-            if view.ndim != 2 or view.shape[0] != n:
-                raise ValueError(
-                    f"view {v} has shape {view.shape}, expected 2-D with {n} rows"
-                )
+        """The views' common row count and column offsets; their widths
+        must sum to `feature_dim`."""
         widths = [view.shape[1] for view in views]
         if sum(widths) != self.feature_dim:
             raise ValueError(
                 f"views have {sum(widths)} features, expected {self.feature_dim}"
             )
-        return n, list(itertools.accumulate(widths[:-1], initial=0))
+        return (views[0].shape[0],
+                list(itertools.accumulate(widths[:-1], initial=0)))
 
     def predict_batch(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
         """Leaf labels of the rows of the (n, feature_dim) matrix X,
-        descending from `start`; `route` checks X's shape."""
+        descending from `start`; `route` checks X's width."""
         return self.predict_views([np.asarray(X, dtype=np.float64)], start)
 
     def predict_views(self, views: Sequence[np.ndarray],
@@ -197,7 +193,6 @@ def best_split(X: np.ndarray, labels) -> tuple[int, float] | None:
     each side. Ties resolve to the lowest feature index, then the lowest
     threshold. Working memory is O(n·k) for n rows and k classes.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n, d = X.shape
     if n < 2:
@@ -258,15 +253,7 @@ def build_tree(X: np.ndarray, Y, max_depth: int, min_num: int,
     stack of pending nodes, so Python's recursion limit does not bound
     the depth.
     """
-    X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise ValueError("cannot build a tree from zero instances")
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y lengths differ")
-    if max_depth < 1 or min_num < 1:
-        raise ValueError("max_depth and min_num must be at least 1")
-
     rows: list[list] = []           # indexed by node id, filled in preorder
     # (rows reaching a node, its depth, its parent's row, and the field of
     # that row that takes the node's id: 2 for left, 3 for right)

@@ -75,12 +75,7 @@ def kmeanspp_init(Z: np.ndarray, k: int, seed) -> np.ndarray:
     uniform draw per center (inverse-CDF over cumulative D^2 mass), so an
     oracle with the same stream reproduces the choice.
     """
-    Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
-    if k > n:
-        raise ValueError(f"cannot pick {k} centers from {n} points")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     rng = np.random.default_rng(seed)
     scratch = np.empty_like(Z)
     dist = np.empty((n, 1))
@@ -112,14 +107,11 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray) -> KMeansResult:
     whose cluster has another member, so no cluster is left empty even
     when Z has fewer distinct rows than k.
     """
-    Z = np.asarray(Z, dtype=np.float64)
     centers = np.array(init_centers, dtype=np.float64, copy=True)
     if not np.all(np.isfinite(centers)):
         raise ValueError("initial centers must be finite")
     k = centers.shape[0]
     n = Z.shape[0]
-    if k > n:
-        raise ValueError(f"cannot fit {k} clusters to {n} points")
     scratch = np.empty_like(Z)
     history: list[float] = []
     for _ in range(MAX_ITER):
@@ -148,9 +140,6 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray) -> KMeansResult:
 
 def kmeans(Z: np.ndarray, k: int, seed) -> KMeansResult:
     """Best of N_RESTARTS seeded runs; winner by (sse, restart index)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if k < 1 or k > Z.shape[0]:
-        raise ValueError(f"invalid k={k} for {Z.shape[0]} points")
     results = parallel.run(
         [parallel.once(lambda r: lloyd(Z, kmeanspp_init(Z, k, [seed, r])), r)
          for r in range(N_RESTARTS)],

@@ -31,7 +31,7 @@ def purity(pred, truth) -> float:
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost perfect matching of a square cost matrix.
+    """Minimum-cost perfect matching of a square, finite cost matrix.
 
     Returns the column assigned to each row. The solver is the
     shortest-augmenting-path algorithm of Crouse, "On implementing 2D
@@ -43,10 +43,6 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     `remaining` by swap-remove.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError(f"cost matrix must be square, got {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix must be finite")
     n = cost.shape[0]
     c = cost.tolist()           # Python floats: the same IEEE doubles, faster
     u = [0.0] * n

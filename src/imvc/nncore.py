@@ -53,21 +53,13 @@ ADAM_EPS = 1e-8
 _UFUNC_BUFSIZE = 512
 
 
-class DimensionError(ValueError):
-    """Shapes of inputs/parameters do not line up."""
-
-
 class DenseLayer:
     """One fully connected layer: out = x @ w + b, then a ReLU unless it is
     the last layer of its stack (see Autoencoder)."""
 
     def __init__(self, w, b):
-        self.w = np.asarray(w, dtype=np.float64)    # (in_dim, out_dim)
-        self.b = np.asarray(b, dtype=np.float64)    # (out_dim,)
-        if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
-            raise DimensionError(
-                f"layer shapes inconsistent: w {self.w.shape}, b {self.b.shape}"
-            )
+        self.w = w      # (in_dim, out_dim)
+        self.b = b      # (out_dim,)
 
     @property
     def in_dim(self) -> int:
@@ -92,15 +84,8 @@ class Autoencoder:
     """
 
     def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer]):
-        if not encoder or not decoder:
-            raise DimensionError("encoder and decoder must be non-empty")
-        if decoder[-1].out_dim != encoder[0].in_dim:
-            raise DimensionError("decoder output dim must equal input dim")
         # encoder then decoder layers, the order of parameters()
         self.layers = [*encoder, *decoder]
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise DimensionError("layer dims do not chain")
         self.encoder = encoder
         self.decoder = decoder
         self.relu = tuple(i < len(stack) - 1 for stack in (encoder, decoder)
@@ -155,17 +140,8 @@ class Autoencoder:
             x = out
         return x
 
-    def _check_input(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"expected input with {self.input_dim} features, got {X.shape}"
-            )
-        return X
-
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Return the embedding Z, the encoder's output."""
-        X = self._check_input(X)
         outs = [np.empty((X.shape[0], layer.out_dim)) for layer in self.encoder]
         return self._run(self.encoder, self.relu, X, outs)
 
@@ -181,8 +157,6 @@ class Autoencoder:
         returned gradients are arrays of `ws`, so the next call with the
         same `ws` overwrites them.
         """
-        X = self._check_input(X)
-        ws.check(self, X.shape[0], center_count(yind, centers, lam))
         with np.errstate():     # restores numpy's buffer size on exit
             np.setbufsize(_UFUNC_BUFSIZE)
             return self._fill(ws, X, yind, centers, lam)
@@ -203,7 +177,6 @@ class Autoencoder:
         ce = 0.0
         center_grad = None
         if use_ce:
-            yind = np.asarray(yind, dtype=np.float64)
             a, g = ws.kernel, ws.g
             s = soft_assignment(Z, centers, out=ws.s, kernel=a, diff=ws.diff,
                                 rowsum=ws.col)
@@ -249,18 +222,15 @@ class Autoencoder:
 
 def center_count(yind, centers, lam: float) -> int:
     """The number k of centers in the cross-entropy term, 0 when the term
-    is off. It is on when targets `yind` come with lam > 0, and then needs
-    the centers."""
-    use_ce = yind is not None and lam > 0.0
-    if use_ce and centers is None:
-        raise ValueError("cross-entropy loss requires cluster centers")
-    return centers.shape[0] if use_ce else 0
+    is off. It is on when targets `yind` come with lam > 0; the feature
+    phase, the one caller with targets, passes the centers with them."""
+    return centers.shape[0] if yind is not None and lam > 0.0 else 0
 
 
 def workspace_key(ae: Autoencoder, n: int, k: int) -> tuple:
-    """What a Workspace must match: each layer's weight shape, the ReLU
-    flags (which fix where the encoder ends), the row count n and the
-    center count k."""
+    """The key a WorkspacePool lends a Workspace by: each layer's weight
+    shape, the ReLU flags (which fix where the encoder ends), the row count
+    n and the center count k."""
     return tuple(layer.w.shape for layer in ae.layers), ae.relu, n, k
 
 
@@ -293,7 +263,6 @@ class Workspace:
     def __init__(self, ae: Autoencoder, n: int, k: int):
         layers = ae.layers
         self.n, self.k = n, k
-        self.key = workspace_key(ae, n, k)
         self.out = [np.empty((n, layer.out_dim)) for layer in layers]
         self.mask = [np.empty((n, layer.out_dim), dtype=bool) if relu else None
                      for layer, relu in zip(layers, ae.relu)]
@@ -313,12 +282,6 @@ class Workspace:
             self.dz = np.empty((n, d))
             self.center_grad = np.empty((k, d))
             self.gtz = np.empty((k, d))
-
-    def check(self, ae: Autoencoder, n: int, k: int) -> None:
-        key = workspace_key(ae, n, k)
-        if key != self.key:
-            raise DimensionError(f"workspace built for {self.key}, called "
-                                 f"with {key} (shapes, relu, n, k)")
 
 
 class WorkspacePool:
@@ -358,18 +321,6 @@ def soft_assignment(Z: np.ndarray, centers: np.ndarray, out: np.ndarray,
     `diff` (n, d) and `rowsum` (n, 1) are scratch. The squared distances
     are k-means' `sq_dists`, taken through `diff`.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] < 1:
-        raise ValueError("need at least one cluster center")
-    if Z.shape[1] != centers.shape[1]:
-        raise DimensionError(
-            f"embedding dim {Z.shape[1]} != center dim {centers.shape[1]}"
-        )
-    if diff.shape != Z.shape:
-        raise DimensionError(
-            f"diff scratch is {diff.shape}, expected {Z.shape}"
-        )
     a = sq_dists(Z, centers, scratch=diff, out=kernel)
     a += 1.0
     np.divide(1.0, a, out=a)
@@ -380,10 +331,6 @@ def cross_entropy_loss(yind: np.ndarray, s: np.ndarray,
                        out: np.ndarray) -> float:
     """-sum y_ij log s_ij with probabilities clamped at LOG_EPS, taken
     through `out`, an array shaped like s."""
-    yind = np.asarray(yind, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if yind.shape != s.shape:
-        raise DimensionError(f"shape mismatch: {yind.shape} vs {s.shape}")
     terms = np.clip(s, LOG_EPS, None, out=out)
     np.log(terms, out=terms)
     terms *= yind
@@ -392,8 +339,6 @@ def cross_entropy_loss(yind: np.ndarray, s: np.ndarray,
 
 def combined_loss(recon: float, ce: float, lam: float) -> float:
     """Trade-off combination L = Lr + lam * Lce."""
-    if lam < 0:
-        raise ValueError("trade-off coefficient must be non-negative")
     return recon + lam * ce
 
 
@@ -405,8 +350,6 @@ class AdamState:
     """
 
     def __init__(self, params: list[np.ndarray], lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.step = 0
@@ -434,8 +377,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     below can overflow. Evaluates m = b1 m + (1 - b1) g, v = b2 v + (1 - b2)
     g g and p -= lr (m / bc1) / (sqrt(v / bc2) + eps) in the state's scratch.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionError("params/grads/state lengths differ")
     check_gradients(grads)
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step

@@ -120,13 +120,13 @@ class ModelState(ServedModel):
 
 def _check_views(views: list[np.ndarray],
                  view_dims: list[int] | None = None) -> list[np.ndarray]:
-    """The views as float64 arrays, each checked to be 2-D, as long as view
-    0 and finite; the errors name the view and row.
+    """The views as float64 arrays, each checked to be real numbers, 2-D,
+    as long as view 0 and finite; the errors name the view and row.
 
     With `view_dims` there must be that many views, each as wide; without,
     there must be at least one, each at least one column wide.
     """
-    views = [np.asarray(v, dtype=np.float64) for v in views]
+    views = [_as_float(view, v) for v, view in enumerate(views)]
     if view_dims is None and not views:
         raise ValueError("expected at least one view, got none")
     if view_dims is not None and len(views) != len(view_dims):
@@ -150,6 +150,18 @@ def _check_views(views: list[np.ndarray],
             )
         _check_finite(view, v)
     return views
+
+
+def _as_float(view, v: int) -> np.ndarray:
+    """View v as a float64 array, converted as `np.asarray` converts it; a
+    view numpy cannot convert, or a complex one, fails naming the view."""
+    try:
+        view = np.asarray(view)
+        if view.dtype.kind != "c":
+            return view.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"view {v} is not an array of numbers: {exc}") from exc
+    raise ValueError(f"view {v} is complex, expected real numbers")
 
 
 def _check_finite(view: np.ndarray, v: int) -> None:
@@ -235,7 +247,6 @@ def _train_epochs(ae: nncore.Autoencoder, X: np.ndarray, epochs: int,
     view, the phase and the 1-based epoch before any parameter changes, and
     so does an overflow that a caller's `np.errstate` raises.
     """
-    X = np.asarray(X, dtype=np.float64)
     k = nncore.center_count(yind, centers, lam)     # 0: no cross-entropy
     params = [ae.flat_params, centers] if k else [ae.flat_params]
     adam = nncore.AdamState(params, lr)
@@ -417,7 +428,10 @@ def explain(state: ServedModel, x_views: list[np.ndarray]) -> tuple[list[Explana
 
     `x_views` holds one row per view, as a 1-D array or a (1, d) view.
     """
-    x_views = [np.atleast_2d(v) for v in x_views]
+    x_views = [_as_float(view, v) for v, view in enumerate(x_views)]
+    # a row is one instance, and so is a number for a one-column view
+    x_views = [view.reshape(1, -1) if view.ndim < 2 else view
+               for view in x_views]
     for v, view in enumerate(x_views):
         if view.shape[0] != 1:
             raise ValueError(

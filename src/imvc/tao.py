@@ -36,7 +36,6 @@ def compute_reach(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
 
     Nodes no instance reaches get an empty array.
     """
-    X = np.asarray(X, dtype=np.float64)
     reach = {node_id: np.empty(0, dtype=np.int64) for node_id in tree.ids()}
     reach.update(tree.route(X))
     return reach
@@ -45,8 +44,6 @@ def compute_reach(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
 def relabel_leaf(tree: DecisionTree, leaf_id: int, idx: np.ndarray,
                  Y: np.ndarray) -> bool:
     """Majority pseudo-label; ties to the smallest index; empty set is a no-op."""
-    if tree.feature[leaf_id] >= 0:
-        raise ValueError(f"node {leaf_id} is not a leaf")
     if len(idx) == 0:
         return False
     new = _majority(Y[idx])
@@ -62,9 +59,6 @@ def care_set(tree: DecisionTree, node_id: int, idx: np.ndarray,
     Instances correct on both sides or wrong on both sides cannot be
     affected by this node's split and are excluded.
     """
-    if tree.feature[node_id] < 0:
-        raise ValueError(f"node {node_id} is not internal")
-    idx = np.asarray(idx, dtype=np.int64)
     if len(idx) == 0:
         return CareSet(rows=idx, correct_left=np.zeros(0, dtype=bool))
     X_idx = X[idx]
@@ -132,8 +126,6 @@ def tao_pass(tree: DecisionTree, X: np.ndarray, Y: np.ndarray) -> bool:
 
     Returns True when any label, split parameter, or structure changed.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.int64)
     reach = compute_reach(tree, X)
     depth = tree.depth
     changed = False

@@ -1,8 +1,9 @@
 """Every module-level function and class in imvc has a caller in imvc,
 every module-level constant is read in imvc, every module-level import
 is read by its module, every parameter with a default is passed by
-some call in imvc and left at its default by another, and no default
-restates one of PipelineConfig.
+some call in imvc and left at its default by another, no default
+restates one of PipelineConfig, and the modules behind the input boundary
+raise only in the functions listed as keeping a check.
 
 A definition counts as used when its name is read, taken as an attribute
 or imported anywhere in the package's source, or when the package exports
@@ -14,8 +15,13 @@ that every call in the package passes has a default that only tests
 use, and so do the branches behind it; functions that imvc exports are
 left out, as library users call them. A parameter named after a
 PipelineConfig field with that field's default repeats a default of the
-fit, which lives only in the config. Each exemption below must still be
-needed: a name that no longer needs one fails the last test.
+fit, which lives only in the config. `PipelineConfig.validate`,
+`pipeline._check_views`, `initialize`'s k <= n check and
+`ServedModel.preprocess` check everything a public call passes on to
+nncore, kmeans, dtree and tao, so a `raise` there re-checks what the
+boundary has checked, unless its function is in KEPT_RAISES. Each
+exemption below must still be needed: a name that no longer needs one
+fails the last test.
 """
 
 import ast
@@ -36,6 +42,15 @@ TRACER_ONLY = {"tao.MAX_SELF_LABEL_ITERATIONS"}
 
 # the console script calls main() with no argument; tests pass an argv
 SET_OUTSIDE_THE_PACKAGE = {"cli.main(argv)"}
+
+# the modules that take their input from the boundary's checks
+BEHIND_THE_BOUNDARY = ("nncore", "kmeans", "dtree", "tao")
+
+# the checks kept there: training's gradient check, non-finite initial
+# centers, the formulas the acceptance criteria call with lists, and a
+# served model whose tree and view widths disagree
+KEPT_RAISES = {"nncore.check_gradients", "kmeans.lloyd", "dtree.gini",
+               "dtree.split_gini", "dtree.DecisionTree._layout"}
 
 
 def modules():
@@ -221,15 +236,43 @@ def test_no_defaulted_parameter_restates_a_config_default():
     assert restated == []
 
 
+def functions_that_raise() -> set[str]:
+    """Qualified names (module, classes, functions) of the scopes that
+    hold a `raise` in the modules behind the boundary; a raise at module
+    level is named by its module."""
+    raising = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+            else:
+                if isinstance(child, ast.Raise):
+                    raising.add(scope)
+                visit(child, scope)
+
+    for stem, tree in modules():
+        if stem in BEHIND_THE_BOUNDARY:
+            visit(tree, stem)
+    return raising
+
+
+def test_modules_behind_the_boundary_raise_only_where_kept():
+    assert sorted(functions_that_raise() - KEPT_RAISES) == []
+
+
 def test_every_exemption_is_still_needed():
     flagged = {
         "LIBRARY_ONLY": set(uncalled_definitions().values()),
         "TRACER_ONLY": unread_constants(),
         "SET_OUTSIDE_THE_PACKAGE": (parameters_no_call_passes()
                                     | parameters_every_call_passes()),
+        "KEPT_RAISES": functions_that_raise(),
     }
     exempt = {"LIBRARY_ONLY": LIBRARY_ONLY, "TRACER_ONLY": TRACER_ONLY,
-              "SET_OUTSIDE_THE_PACKAGE": SET_OUTSIDE_THE_PACKAGE}
+              "SET_OUTSIDE_THE_PACKAGE": SET_OUTSIDE_THE_PACKAGE,
+              "KEPT_RAISES": KEPT_RAISES}
     stale = sorted(f"{group}: {name}" for group, names in exempt.items()
                    for name in names - flagged[group])
     assert stale == []

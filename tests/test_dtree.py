@@ -202,10 +202,6 @@ class TestBuildTree:
         tree = build_tree(X, [0, 1, 0], max_depth=10, min_num=4, k=2)
         assert tree.n_nodes == 1
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            build_tree(np.zeros((0, 2)), [], max_depth=1, min_num=1, k=1)
-
     def test_grows_deeper_than_the_recursion_limit(self):
         # alternating labels on a line: each split peels off one end row,
         # so the tree is one level shorter than the rows are many

@@ -59,14 +59,6 @@ class TestHungarian:
         assignment = hungarian(np.full((4, 4), 2.5))
         assert sorted(assignment) == [0, 1, 2, 3]
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            hungarian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            hungarian(np.zeros((2, 3)))
-
 
 def scipy_assignment(cost) -> np.ndarray:
     """scipy's matching as the column for each row."""

@@ -12,7 +12,6 @@ from imvc.nncore import (
     AdamState,
     Autoencoder,
     DenseLayer,
-    DimensionError,
     Workspace,
     adam_step,
     combined_loss,
@@ -60,10 +59,6 @@ class TestForward:
         np.testing.assert_allclose(ae.forward(X), hand_rolled(ae.encoder, X),
                                    rtol=1e-12)
 
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(nncore.DimensionError):
-            tiny_ae().forward(np.zeros((2, 4)))
-
     def test_deterministic_for_fixed_parameters(self):
         ae = tiny_ae()
         X = np.random.default_rng(1).standard_normal((4, 3))
@@ -106,11 +101,6 @@ class TestReconstructionLoss:
         assert loss_and_grads(ae, X)[0] == pytest.approx(
             np.sum((Xhat - X) ** 2), rel=1e-12)
 
-    def test_shape_mismatch(self):
-        ae = Autoencoder.create(2, (3,), seed=0)
-        with pytest.raises(nncore.DimensionError):
-            loss_and_grads(ae, np.zeros((2, 3)))
-
 
 class TestSoftAssignment:
     def test_single_center_is_one(self):
@@ -127,17 +117,6 @@ class TestSoftAssignment:
         # distances 0 and 1: weights 1 and 0.5 -> (2/3, 1/3)
         s = soft_assignment(np.array([[0.0]]), np.array([[0.0], [1.0]]))
         np.testing.assert_allclose(s, [[2 / 3, 1 / 3]], atol=1e-12)
-
-    def test_no_centers_rejected(self):
-        with pytest.raises(ValueError):
-            soft_assignment(np.zeros((2, 2)), np.zeros((0, 2)))
-
-    @pytest.mark.parametrize("shape", [(5, 2, 3), (4, 3), (5, 2)])
-    def test_diff_of_wrong_shape_rejected(self, shape):
-        with pytest.raises(DimensionError):
-            nncore.soft_assignment(np.zeros((5, 3)), np.ones((2, 3)),
-                                   np.empty((5, 2)), np.empty((5, 2)),
-                                   np.empty(shape), np.empty((5, 1)))
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (6, 3), elements=st.floats(-50, 50)),
@@ -177,10 +156,6 @@ class TestCombinedLoss:
 
     def test_pure_ce(self):
         assert combined_loss(0.0, 5.0, 1.0) == 5.0
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            combined_loss(1.0, 1.0, -0.1)
 
 
 def numeric_gradients(loss_fn, params, h=1e-5):

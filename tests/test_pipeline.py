@@ -2,6 +2,7 @@ import copy
 import os
 import re
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -115,15 +116,22 @@ class TestInitialize:
         with pytest.raises(ValueError, match="view 1 .* non-finite .* row 2"):
             pipeline.initialize(views, PipelineConfig(k=2, e1=1))
 
-    @pytest.mark.parametrize("shape, message", [
-        ((20,), r"view 1 has shape \(20,\), expected \(rows, features\)"),
-        ((20, 2, 2),
+    @pytest.mark.parametrize("view, message", [
+        (np.zeros(20),
+         r"view 1 has shape \(20,\), expected \(rows, features\)"),
+        (np.zeros((20, 2, 2)),
          r"view 1 has shape \(20, 2, 2\), expected \(rows, features\)"),
-        ((20, 0), "view 1 has no features, expected at least 1"),
-    ], ids=["1-d", "3-d", "no-columns"])
-    def test_misshapen_view_rejected_before_training(self, no_training, shape,
+        (np.zeros((20, 0)), "view 1 has no features, expected at least 1"),
+        ([["a", "b"]] * 20, "view 1 is not an array of numbers: could not "
+                            "convert string to float"),
+        ([[0.0, 0.0]] * 19 + [[0.0]],
+         "view 1 is not an array of numbers: .* inhomogeneous shape"),
+        (np.zeros((20, 2), dtype=complex),
+         "view 1 is complex, expected real numbers"),
+    ], ids=["1-d", "3-d", "no-columns", "strings", "ragged", "complex"])
+    def test_misshapen_view_rejected_before_training(self, no_training, view,
                                                      message):
-        views = [np.zeros((20, 2)), np.zeros(shape)]
+        views = [np.zeros((20, 2)), view]
         with pytest.raises(ValueError, match=message):
             pipeline.fit(views, PipelineConfig(k=2, e1=1))
 
@@ -560,6 +568,17 @@ def test_predict_rejects_views_of_different_lengths(fitted, small_dataset):
         fitted.predict([views[0], views[1][:-1]])
 
 
+def test_predict_and_explain_reject_a_view_too_few(fitted, small_dataset,
+                                                   tmp_path):
+    views, _ = small_dataset
+    dataio.save_model(fitted, tmp_path / "model.bin")
+    for model in (fitted, dataio.load_model(tmp_path / "model.bin")):
+        with pytest.raises(ValueError, match="^expected 2 views, got 1$"):
+            model.predict(views[:1])
+        with pytest.raises(ValueError, match="^expected 2 views, got 1$"):
+            pipeline.explain(model, [views[0][0]])
+
+
 def test_finite_rows_whose_sum_overflows_are_accepted():
     for view in (np.array([[1e308], [1e308]]),
                  np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 0.0]])):
@@ -680,12 +699,14 @@ def test_fit_reproducible_bytes(tmp_path, small_dataset):
 
 
 DEGENERATE_KINDS = ["n_equals_k", "constant_columns", "duplicate_rows",
-                    "one_view", "one_feature_per_view"]
+                    "one_view", "one_feature_per_view", "scaled_view"]
 
 
 @st.composite
 def degenerate_problems(draw, kind):
-    """Valid views of one degenerate kind, with a short-training config."""
+    """Valid views of one degenerate kind, with a short-training config,
+    and whether the fit runs under np.errstate(all="raise"). A scaled view
+    is one view times 10**e, e from -300 to 200."""
     k = draw(st.integers(2, 4))
     n = k if kind == "n_equals_k" else draw(st.integers(k, 12))
     n_views = 1 if kind == "one_view" else draw(st.integers(1, 3))
@@ -706,21 +727,43 @@ def degenerate_problems(draw, kind):
                                      max_size=view.shape[1]))
             view[:, constant] = draw(st.sampled_from([0.0, 1.0, -2.5]))
         views[0][:, 0] = 3.0
+    if kind == "scaled_view":
+        views[draw(st.integers(0, n_views - 1))] *= 10.0 ** draw(
+            st.integers(-300, 200))
     config = PipelineConfig(k=k, e1=3, e2=3, min_num=draw(st.integers(1, 3)),
                             seed=draw(st.integers(0, 100)),
                             standardize=draw(st.booleans()))
-    return views, config
+    return views, config, draw(st.booleans())
 
 
 @pytest.mark.parametrize("kind", DEGENERATE_KINDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_degenerate_inputs_fit_and_route_every_row(kind, data):
-    views, config = data.draw(degenerate_problems(kind))
+    """The fit either runs with no warning and routes every row to its
+    label, before and after a save and load, or, for a scaled view or
+    under a raising error state only, fails naming the view, and for a
+    floating-point error the step where it happened."""
+    views, config, raising = data.draw(degenerate_problems(kind))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state = pipeline.fit(views, config)
+        try:
+            with np.errstate(**({"all": "raise"} if raising else {})):
+                state = pipeline.fit(views, config)
+        except (ValueError, FloatingPointError) as exc:
+            if not (raising or kind == "scaled_view"):
+                raise
+            assert re.match(r"view \d+", str(exc)), exc
+            if isinstance(exc, FloatingPointError):     # and where it was
+                assert re.fullmatch(r"view \d+: .+ in (standardization|.* "
+                                    r"(epoch \d+|seeding))", str(exc)), exc
+            return
         labels = state.predict(views)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.bin")
+            dataio.save_model(state, path)
+            loaded = dataio.load_model(path).predict(views)
     assert labels.shape == (views[0].shape[0],)
     assert labels.min() >= 0 and labels.max() < config.k
     np.testing.assert_array_equal(labels, state.labels.hard)
+    np.testing.assert_array_equal(loaded, state.labels.hard)

@@ -121,11 +121,5 @@ def test_predict_makes_no_concatenated_copy():
 def test_route_rejects_views_that_do_not_fit_the_tree():
     tree = build_tree(np.array([[0.0, 1.0], [1.0, 0.0]]), [0, 1],
                       max_depth=2, min_num=1, k=2)
-    for views, message in (
-            ([np.zeros((3, 1)), np.zeros((2, 1))],
-             r"view 1 has shape \(2, 1\), expected 2-D with 3 rows"),
-            ([np.zeros((3, 1)), np.zeros(3)],
-             r"view 1 has shape \(3,\), expected 2-D with 3 rows"),
-            ([np.zeros((3, 1))], "views have 1 features, expected 2")):
-        with pytest.raises(ValueError, match=message):
-            tree.predict_views(views)
+    with pytest.raises(ValueError, match="views have 1 features, expected 2"):
+        tree.predict_views([np.zeros((3, 1))])

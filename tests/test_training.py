@@ -212,32 +212,6 @@ class TestWorkspace:
         for a, b in zip(reused[2] + [reused[3]], fresh[2] + [fresh[3]]):
             assert_bits_equal(a, b)
 
-    def test_mismatched_workspace_rejected(self):
-        ae, X, yind, centers = self.problem()
-        with pytest.raises(nncore.DimensionError):
-            ae.loss_and_grads(X, None, None, 0.0,
-                              Workspace(ae, X.shape[0] + 1, 0))
-        with pytest.raises(nncore.DimensionError):
-            ae.loss_and_grads(X, yind, centers, 0.1,
-                              Workspace(ae, X.shape[0], 0))
-        other = Autoencoder.create(4, (5, 3), seed=0)
-        with pytest.raises(nncore.DimensionError):
-            ae.loss_and_grads(X, None, None, 0.0,
-                              Workspace(other, X.shape[0], 0))
-
-    def test_workspace_of_other_split_rejected(self):
-        # the same weight shapes split after the first layer, not the
-        # second: the ReLU masks and the embedding differ
-        ae, X, _, _ = self.problem()
-        layers = [DenseLayer(layer.w.copy(), layer.b.copy())
-                  for layer in ae.layers]
-        other = Autoencoder(layers[:1], layers[1:])
-        assert other.relu != ae.relu
-        for built, called in ((ae, other), (other, ae)):
-            with pytest.raises(nncore.DimensionError):
-                called.loss_and_grads(X, None, None, 0.0,
-                                      Workspace(built, X.shape[0], 0))
-
 
 class TestEpochAllocation:
     @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -313,10 +287,3 @@ def test_centers_without_targets_train_as_pretraining():
             == train_view(twin, X, 5, 0.01))
     assert_bits_equal(ae.flat_params, twin.flat_params)
     assert_bits_equal(centers, kept)
-
-
-def test_targets_without_centers_rejected():
-    ae = Autoencoder.create(4, (6, 3), seed=7)
-    yind = one_hot(np.zeros(5, dtype=np.int64), 3)
-    with pytest.raises(ValueError, match="requires cluster centers"):
-        train_view(ae, np.ones((5, 4)), 1, 0.01, yind=yind, lam=0.1)
