@@ -136,7 +136,7 @@ class DecisionTree:
     def predict_batch(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
         """Leaf labels of the rows of the (n, feature_dim) matrix X,
         descending from `start`; `route` checks X's width."""
-        return self.predict_views([np.asarray(X, dtype=np.float64)], start)
+        return self.predict_views([X], start)
 
     def predict_views(self, views: Sequence[np.ndarray],
                       start: int | None = None) -> np.ndarray:
@@ -185,7 +185,7 @@ def split_gini(X: np.ndarray, labels, sf: int, sv: float) -> float:
 _SCREEN_ULP = 16
 
 
-def best_split(X: np.ndarray, labels) -> tuple[int, float] | None:
+def best_split(X: np.ndarray, labels: np.ndarray) -> tuple[int, float] | None:
     """Exhaustive minimum-Gini split; None when no feature separates.
 
     Minimizing the size-weighted Gini impurity is maximizing
@@ -193,12 +193,11 @@ def best_split(X: np.ndarray, labels) -> tuple[int, float] | None:
     each side. Ties resolve to the lowest feature index, then the lowest
     threshold. Working memory is O(n·k) for n rows and k classes.
     """
-    y = np.asarray(labels, dtype=np.int64)
     n, d = X.shape
     if n < 2:
         return None
-    k = int(y.max()) + 1
-    onehot = np.eye(k, dtype=np.int64)[y]
+    k = int(labels.max()) + 1
+    onehot = np.eye(k, dtype=np.int64)[labels]
     total = onehot.sum(axis=0)
     n_left = np.arange(1, n, dtype=np.int64)
     n_right = n - n_left
@@ -243,7 +242,7 @@ def _majority(labels: np.ndarray) -> int:
     return int(np.argmax(np.bincount(labels)))
 
 
-def build_tree(X: np.ndarray, Y, max_depth: int, min_num: int,
+def build_tree(X: np.ndarray, Y: np.ndarray, max_depth: int, min_num: int,
                k: int) -> DecisionTree:
     """CART growth guided by pseudo-labels in [0, k).
 
@@ -253,7 +252,6 @@ def build_tree(X: np.ndarray, Y, max_depth: int, min_num: int,
     stack of pending nodes, so Python's recursion limit does not bound
     the depth.
     """
-    Y = np.asarray(Y, dtype=np.int64)
     rows: list[list] = []           # indexed by node id, filled in preorder
     # (rows reaching a node, its depth, its parent's row, and the field of
     # that row that takes the node's id: 2 for left, 3 for right)

@@ -10,7 +10,9 @@ restarts still keep every worker busy. A restart is
 `lloyd(Z, kmeanspp_init(...))`, and each of the two allocates the one
 (n, d) scratch buffer its distances go through; the seeding buffer is
 freed when `kmeanspp_init` returns, before `lloyd` allocates its own, so
-at most one buffer per running restart exists.
+at most one buffer per running restart exists. Lloyd's settle step
+gathers the rows its screen cannot decide into one more array, as large
+as Z only when no row is decided.
 Every restart draws from its own seeded stream and the results are
 ranked in restart order, so the result does not depend on the number of
 workers.
@@ -97,35 +99,71 @@ def kmeanspp_init(Z: np.ndarray, k: int, seed) -> np.ndarray:
     return Z[chosen].copy()
 
 
+def _assign(Z: np.ndarray, centers: np.ndarray, znorm: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
+    """Each row's nearest center by `sq_dists`, ties to the lowest index.
+
+    One matmul screens the rows by |c|^2 - 2 z.c; a row whose runner-up
+    is further than the rounding margin keeps the screen's label. The
+    others, non-finite screens among them, are settled by `sq_dists` on
+    those rows alone, whose bits are those of the full pass. `znorm`
+    holds the rows' norms |z|.
+    """
+    n, d = Z.shape
+    rows = np.arange(n)
+    with np.errstate(all="ignore"):
+        sq_norms = np.einsum("ij,ij->i", centers, centers)
+        screen = Z @ centers.T
+        screen *= -2.0
+        screen += sq_norms
+        finite = np.isfinite(screen).all(axis=1)
+        labels = np.argmin(screen, axis=1)
+        best = screen[rows, labels]
+        screen[rows, labels] = np.inf
+        gap = screen.min(axis=1) - best
+        # each screened and each exact distance is off by at most
+        # gamma_{d+3} (|z| + max |c|)^2 in any summation order, gamma_m =
+        # m u / (1 - m u), u = 2^-53; the margin is twice the 4 gamma_{d+3}
+        # that a gap must beat (for d below 9e7), and 2^-1000 covers
+        # subnormal products
+        reach = znorm + np.sqrt(sq_norms.max())
+        margin = 8 * (d + 4) * 2.0**-53 * reach * reach + 2.0**-1000
+        unsure = np.flatnonzero(~(finite & (gap > margin)))
+    if unsure.size:
+        exact = sq_dists(Z[unsure], centers, scratch[:unsure.size])
+        labels[unsure] = np.argmin(exact, axis=1)
+    return labels
+
+
 def lloyd(Z: np.ndarray, init_centers: np.ndarray) -> KMeansResult:
     """Alternate assignment/update until an update leaves every center
     bit-identical (Lloyd's fixed point: no tolerance, so the run is exact
     under any power-of-two scaling of Z), at most MAX_ITER times.
 
-    Distance ties assign to the lowest cluster index. An empty cluster is
-    re-seeded at the point farthest from its own center among the points
-    whose cluster has another member, so no cluster is left empty even
-    when Z has fewer distinct rows than k.
+    Rows take their nearest center by exact distance (`_assign`), ties to
+    the lowest index. An empty cluster is re-seeded at the point farthest
+    from its own center among the points whose cluster has another member,
+    so no cluster is left empty even when Z has fewer distinct rows than k.
     """
     centers = np.array(init_centers, dtype=np.float64, copy=True)
     if not np.all(np.isfinite(centers)):
         raise ValueError("initial centers must be finite")
     k = centers.shape[0]
-    n = Z.shape[0]
     scratch = np.empty_like(Z)
+    with np.errstate(all="ignore"):
+        znorm = np.sqrt(np.einsum("ij,ij->i", Z, Z))
     history: list[float] = []
     for _ in range(MAX_ITER):
-        d2 = sq_dists(Z, centers, scratch)
-        labels = np.argmin(d2, axis=1)      # ties -> lowest index
-        own = d2[np.arange(n), labels]
+        labels = _assign(Z, centers, znorm, scratch)
         # a re-seed takes its row from a cluster with another member, so it
         # never empties a cluster later in this loop
         for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
+            # each row's distance to its own center, in sq_dists' bits
+            own = np.sum(_residual_sq(Z, centers, labels, scratch), axis=1)
             shared = np.bincount(labels, minlength=k)[labels] > 1
             far = int(np.argmax(np.where(shared, own, -1.0)))
             centers[j] = Z[far]
             labels[far] = j
-            own = np.sum(_residual_sq(Z, centers, labels, scratch), axis=1)
         new_centers = np.empty_like(centers)
         for j in range(k):
             new_centers[j] = Z[labels == j].mean(axis=0)

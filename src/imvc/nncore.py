@@ -262,7 +262,7 @@ class Workspace:
 
     def __init__(self, ae: Autoencoder, n: int, k: int):
         layers = ae.layers
-        self.n, self.k = n, k
+        self.k = k
         self.out = [np.empty((n, layer.out_dim)) for layer in layers]
         self.mask = [np.empty((n, layer.out_dim), dtype=bool) if relu else None
                      for layer, relu in zip(layers, ae.relu)]

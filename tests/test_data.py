@@ -411,8 +411,8 @@ class TestTreeExport:
         return build_tree(X, y, max_depth=4, min_num=2, k=3), X
 
     def test_single_leaf_dot(self):
-        tree = build_tree(np.zeros((3, 2)), [1, 1, 1], max_depth=2, min_num=1,
-                          k=2)
+        tree = build_tree(np.zeros((3, 2)), np.array([1, 1, 1]), max_depth=2,
+                          min_num=1, k=2)
         dot = dataio.export_tree(tree, [0], fmt="dot")
         assert dot.count("[label=") == 1
         assert "cluster 1" in dot

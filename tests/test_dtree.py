@@ -131,11 +131,11 @@ class TestSplitGini:
 class TestBestSplit:
     def test_simple_separable(self):
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
-        assert best_split(X, [0, 0, 1, 1]) == (0, 0.5)
+        assert best_split(X, np.array([0, 0, 1, 1])) == (0, 0.5)
 
     def test_constant_features_give_none(self):
         X = np.ones((4, 2))
-        assert best_split(X, [0, 1, 0, 1]) is None
+        assert best_split(X, np.array([0, 1, 0, 1])) is None
 
     def test_prefers_separating_feature_over_noise(self):
         rng = np.random.default_rng(3)
@@ -168,7 +168,8 @@ class TestBestSplit:
         rng = np.random.default_rng(n)
         X = rng.integers(0, 40, size=(n, 3)).astype(float)
         X[:, 2] = X[:, 1]                 # exact ties across features
-        y = np.where(rng.random(n) < 0.6, X[:, 1] // 14, rng.integers(0, 3, n))
+        y = np.where(rng.random(n) < 0.6, X[:, 1] // 14,
+                     rng.integers(0, 3, n)).astype(np.int64)
         assert best_split(X, y) == fraction_scan_best_split(X, y)
         y = rng.integers(0, 3, n)
         assert best_split(X, y) == fraction_scan_best_split(X, y)
@@ -177,7 +178,8 @@ class TestBestSplit:
 class TestBuildTree:
     def test_pure_labels_single_leaf(self):
         X = np.random.default_rng(0).standard_normal((5, 2))
-        tree = build_tree(X, [1] * 5, max_depth=10, min_num=1, k=2)
+        tree = build_tree(X, np.ones(5, dtype=np.int64), max_depth=10,
+                          min_num=1, k=2)
         assert tree.n_nodes == 1
         assert tree.feature[tree.root] == -1
         assert tree.label[tree.root] == 1
@@ -191,7 +193,8 @@ class TestBuildTree:
 
     def test_two_pure_leaves(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        tree = build_tree(X, [0, 0, 1, 1], max_depth=10, min_num=1, k=2)
+        tree = build_tree(X, np.array([0, 0, 1, 1]), max_depth=10, min_num=1,
+                          k=2)
         root = tree.root
         assert (tree.feature[root], tree.threshold[root]) == (0, 1.5)
         assert tree.label[tree.left[root]] == 0
@@ -199,7 +202,7 @@ class TestBuildTree:
 
     def test_min_num_stops_splitting(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        tree = build_tree(X, [0, 1, 0], max_depth=10, min_num=4, k=2)
+        tree = build_tree(X, np.array([0, 1, 0]), max_depth=10, min_num=4, k=2)
         assert tree.n_nodes == 1
 
     def test_grows_deeper_than_the_recursion_limit(self):
@@ -224,18 +227,19 @@ class TestBuildTree:
 
 class TestPredict:
     def test_single_leaf(self):
-        tree = build_tree(np.zeros((3, 2)), [2, 2, 2], max_depth=5, min_num=1,
-                          k=3)
+        tree = build_tree(np.zeros((3, 2)), np.array([2, 2, 2]), max_depth=5,
+                          min_num=1, k=3)
         assert list(tree.path(np.array([9.0, -9.0]))) == [tree.root]
-        np.testing.assert_array_equal(tree.predict_batch([[9.0, -9.0]]), [2])
+        np.testing.assert_array_equal(
+            tree.predict_batch(np.array([[9.0, -9.0]])), [2])
 
     def test_boundary_goes_left(self):
         X = np.array([[0.0], [1.0]])
-        tree = build_tree(X, [0, 1], max_depth=5, min_num=1, k=2)
+        tree = build_tree(X, np.array([0, 1]), max_depth=5, min_num=1, k=2)
         sv = tree.threshold[tree.root]
         assert list(tree.path(np.array([sv]))) == [tree.root,
                                                     tree.left[tree.root]]
-        np.testing.assert_array_equal(tree.predict_batch([[sv]]), [0])
+        np.testing.assert_array_equal(tree.predict_batch(np.array([[sv]])), [0])
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(6)
@@ -248,6 +252,7 @@ class TestPredict:
         np.testing.assert_array_equal(batch, scalar)
 
     def test_dimension_mismatch(self):
-        tree = build_tree(np.zeros((2, 3)), [0, 0], max_depth=2, min_num=1, k=1)
+        tree = build_tree(np.zeros((2, 3)), np.array([0, 0]), max_depth=2,
+                          min_num=1, k=1)
         with pytest.raises(ValueError):
             tree.predict_batch(np.zeros((1, 2)))

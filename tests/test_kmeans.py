@@ -1,6 +1,7 @@
 import itertools
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -273,7 +274,9 @@ def tied_problems(draw):
     d = draw(st.integers(1, 3))
     grid = draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
                          min_size=n, max_size=n))
-    Z = 0.5 * np.asarray(grid, dtype=np.float64)
+    # each grid row once to three times, adjacent copies
+    copies = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    Z = 0.5 * np.repeat(np.asarray(grid, dtype=np.float64), copies, axis=0)
     seed = draw(st.integers(0, 2**16))
     workers = draw(st.integers(1, 6))
     return Z, k, seed, workers
@@ -355,3 +358,124 @@ class TestConcurrentRestartsOracle:
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 kmeans_with_workers(2, Z, 2, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Lloyd's assignment screen. Each move is (scale, offset) applied to a
+# problem: a 2**20 offset leaves a margin wider than some of the grid's
+# gaps; at a 2**26 offset the screen's own rounding exceeds many gaps, so
+# a screen trusted without its margin mislabels rows; at 2**-600 the
+# screen's products underflow to zero; on a 2**512 offset its norms
+# overflow, though the exact distances, taken on differences of about
+# 2**500, do not.
+SCREEN_MOVES = {
+    "offset-2**20": (1.0, 2.0**20),
+    "offset-2**26": (1.0, 2.0**26),
+    "scale-2**-600": (2.0**-600, 0.0),
+    "scale-2**500-offset-2**512": (2.0**500, 2.0**512),
+}
+
+
+def count_settled(Z, k, seed, workers):
+    """kmeans_with_workers(workers, Z, k, seed), and the rows its Lloyd
+    assignment steps labelled and those they settled with `sq_dists`
+    (k-means++ passes Z itself, a settle step the rows it gathers)."""
+    counts = {"labelled": 0, "settled": 0}
+    lock = threading.Lock()         # the restarts run on worker threads
+    real_sq_dists, real_lloyd = kmeans_mod.sq_dists, kmeans_mod.lloyd
+
+    def sq_dists_spy(rows, centers, scratch, out=None):
+        if rows is not Z:
+            with lock:
+                counts["settled"] += rows.shape[0]
+        return real_sq_dists(rows, centers, scratch, out)
+
+    def lloyd_spy(rows, init_centers):
+        result = real_lloyd(rows, init_centers)
+        with lock:
+            counts["labelled"] += rows.shape[0] * result.iterations
+        return result
+
+    with mock.patch.object(kmeans_mod, "sq_dists", sq_dists_spy), \
+            mock.patch.object(kmeans_mod, "lloyd", lloyd_spy):
+        result = kmeans_with_workers(workers, Z, k, seed)
+    return result, counts
+
+
+@st.composite
+def unscreenable_problems(draw):
+    """tied_problems moved by one of SCREEN_MOVES."""
+    Z, k, seed, workers = draw(tied_problems())
+    scale, offset = SCREEN_MOVES[draw(st.sampled_from(sorted(SCREEN_MOVES)))]
+    return Z * scale + offset, k, seed, workers
+
+
+def overflow_problem():
+    """A grid problem on the 2**512 offset, whose screen overflows."""
+    grid = np.random.default_rng(3).integers(0, 4, size=(30, 2))
+    scale, offset = SCREEN_MOVES["scale-2**500-offset-2**512"]
+    return 0.5 * grid * scale + offset, 3, 17
+
+
+class TestAssignmentScreenOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(unscreenable_problems())
+    def test_settled_rows_bitwise_equal_to_sequential_reference(self, problem):
+        Z, k, seed, workers = problem
+        try:
+            want = reference_kmeans(Z, k, seed)
+        except ReseedRuleChanged:
+            assume(False)
+        got, counts = count_settled(Z, k, seed, workers)
+        assert_same_result(got, want)
+        assert counts["settled"] <= counts["labelled"]
+
+    @pytest.mark.parametrize("move, settled", [
+        ("none", "none"), ("offset-2**20", "some"), ("offset-2**26", "all"),
+        ("scale-2**-600", "all"), ("scale-2**500-offset-2**512", "all")])
+    def test_screen_and_settle_both_label_rows(self, move, settled):
+        # k = 2: at 2**-600 every distance is zero, and a third center would
+        # be re-seeded by the rule the reference does not share
+        scale, offset = SCREEN_MOVES.get(move, (1.0, 0.0))
+        Z = blobs(300, 4, 3, seed=2) * scale + offset
+        got, counts = count_settled(Z, 2, 5, 2)
+        assert_same_result(got, reference_kmeans(Z, 2, 5))
+        share = counts["settled"] / counts["labelled"]
+        if settled == "some":
+            assert 0.0 < share < 1.0
+        else:
+            assert share == {"none": 0.0, "all": 1.0}[settled]
+
+    def test_screen_keeps_its_floating_point_state_to_itself(self):
+        # the screen's norms overflow; the settle, the update and the SSE
+        # run in the caller's raising state and meet nothing to raise
+        Z, k, seed = overflow_problem()
+        want = reference_kmeans(Z, k, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                got, counts = count_settled(Z, k, seed, 2)
+        assert_same_result(got, want)
+        assert counts["settled"] == counts["labelled"]
+
+    def test_rows_with_a_non_finite_screen_are_settled(self):
+        # -2 z.c overflows to -inf for the far center c = Z[2], so the first
+        # two rows screen it as nearest by an infinite gap, while their
+        # margin, 48 u (|z| + max |c|)^2 taken left to right, stays finite;
+        # their exact distance to it is about 2**1021, to Z[1] at most 1
+        Z = np.array([[2.0**511.2, 0.0], [2.0**511.2, 1.0], [2.0**511.9, 0.0]])
+        got = lloyd(Z, Z[[1, 2]])
+        assert_same_result(got, reference_lloyd(Z, Z[[1, 2]]))
+        assert list(got.labels) == [0, 0, 1]
+
+    def test_settle_keeps_the_callers_error_state(self):
+        # the middle row ties, so it is settled, and its distance to the
+        # second center underflows in a square; no row's distance to its
+        # own center does, so only the settle can raise
+        tiny = 2.0**-600
+        Z = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, tiny],
+                      [1.0, tiny]])
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow"):
+                lloyd(Z, Z[[0, 3]])
+        assert_same_result(lloyd(Z, Z[[0, 3]]), reference_lloyd(Z, Z[[0, 3]]))

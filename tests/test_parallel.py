@@ -10,6 +10,7 @@ import contextvars
 import itertools
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 import imvc
 from imvc import kmeans as kmeans_mod
@@ -54,8 +56,9 @@ print(json.dumps([before, inside, get()]))
 
 
 def subprocess_env(**threads):
-    """os.environ with src/ and tests/ on the path and `threads` as the
-    BLAS thread variables; a value of None unsets the variable."""
+    """os.environ with src/ and tests/ on the path and `threads` as BLAS
+    variables, thread counts or the kernel; a value of None unsets the
+    variable."""
     src = str(Path(imvc.__file__).resolve().parent.parent)
     env = dict(os.environ, OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -236,6 +239,28 @@ def test_one_training_state_at_every_blas_thread_count():
            for threads in ("1", "2", None)}
     assert got["2"] == got["1"]
     assert got[None] == got["1"]
+
+
+# the OpenBLAS kernels OPENBLAS_CORETYPE can force, each with the CPU
+# feature, as numpy names it, that the kernel needs
+CORETYPES = {"Prescott": "SSE3", "Nehalem": "SSE42", "Sandybridge": "AVX",
+             "Haswell": "AVX2", "SkylakeX": "AVX512_SKX"}
+
+
+@needs_openblas
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernels named are x86-64 ones")
+def test_one_model_on_every_openblas_kernel():
+    got = {kernel: tuple(run_python(DIGESTS, OPENBLAS_NUM_THREADS="1",
+                                    OPENBLAS_CORETYPE=kernel))
+           for kernel, feature in CORETYPES.items()
+           if __cpu_features__.get(feature)}
+    models = {model for model, _ in got.values()}
+    digests = {digest for _, digest in got.values()}
+    assert len(models) == 1, got
+    # the kernels round the training's matmuls differently, which shows
+    # that each run took the kernel it was given
+    assert len(digests) >= 2, got
 
 
 def stepper(log, i, steps):

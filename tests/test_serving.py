@@ -119,7 +119,7 @@ def test_predict_makes_no_concatenated_copy():
 
 
 def test_route_rejects_views_that_do_not_fit_the_tree():
-    tree = build_tree(np.array([[0.0, 1.0], [1.0, 0.0]]), [0, 1],
+    tree = build_tree(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]),
                       max_depth=2, min_num=1, k=2)
     with pytest.raises(ValueError, match="views have 1 features, expected 2"):
         tree.predict_views([np.zeros((3, 1))])

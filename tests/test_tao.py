@@ -360,7 +360,8 @@ def stacked_one_sided_tree():
 class TestPrune:
     def test_no_empty_nodes_is_identity(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        tree = build_tree(X, [0, 0, 1, 1], max_depth=5, min_num=1, k=2)
+        tree = build_tree(X, np.array([0, 0, 1, 1]), max_depth=5, min_num=1,
+                          k=2)
         n_before = tree.n_nodes
         assert not prune_and_reallocate(tree, X)
         assert tree.n_nodes == n_before
@@ -443,7 +444,8 @@ class TestOptimizeTree:
 
     def test_single_leaf_converges_immediately(self):
         X = np.zeros((4, 1))
-        tree = build_tree(X, [1, 1, 1, 1], max_depth=3, min_num=1, k=2)
+        tree = build_tree(X, np.array([1, 1, 1, 1]), max_depth=3, min_num=1,
+                          k=2)
         optimize_tree(tree, X, np.array([1, 1, 1, 1]))
         assert tree.n_nodes == 1
 
