@@ -76,8 +76,12 @@ class DecisionTree:
     def max_depth(self) -> int:
         return max(self.depth)
 
-    def path(self, x: np.ndarray) -> Iterator[int]:
-        """Node ids one row visits, from the root to a leaf."""
+    def path(self, x: np.ndarray | Sequence[float]) -> Iterator[int]:
+        """Node ids one row visits, from the root to a leaf.
+
+        `x` is indexed by global feature: a 1-D array, or a memoryview of
+        one, whose items compare as Python floats and so faster.
+        """
         node_id = self.root
         while True:
             yield node_id

@@ -168,15 +168,19 @@ def _check_finite(view: np.ndarray, v: int) -> None:
     """Reject NaN and +-inf in view v, naming the first bad row."""
     # A finite sum means every entry is finite, and it takes no (n, d)
     # temporary; only an infinite or NaN sum, which finite entries can also
-    # give by overflow, needs the scan. A single row (`explain`) goes
-    # straight to the scan, which costs less than entering np.errstate.
-    if view.shape[0] > 1:
+    # give by overflow, needs the scan. A single row (`explain`) skips the
+    # sum: searching its isfinite mask's bytes for a zero costs less than
+    # entering np.errstate or reducing the mask with .all(), at any width.
+    if view.shape[0] == 1:
+        if b"\0" not in np.isfinite(view).tobytes():
+            return
+    else:
         with np.errstate(over="ignore", invalid="ignore"):
             if math.isfinite(view.sum()):
                 return
-    finite = np.isfinite(view)
+    finite = np.isfinite(view).all(axis=1)
     if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
+        row = int(np.argmin(finite))
         raise ValueError(f"view {v} has a non-finite value in row {row}")
 
 
@@ -437,17 +441,21 @@ def explain(state: ServedModel, x_views: list[np.ndarray]) -> tuple[list[Explana
             raise ValueError(
                 f"view {v} has {view.shape[0]} rows; explain takes one instance"
             )
-    x = np.concatenate(state.preprocess(x_views), axis=1)[0]
-    offsets = state.view_offsets
+    row = np.concatenate(state.preprocess(x_views), axis=1)[0]
     tree = state.tree
-    ids = list(tree.path(x))
+    offsets = state.view_offsets
+    # one pass over the walk: a node's step is made once the next node, and
+    # so the branch taken, is known. `path` reads Python floats from a
+    # memoryview faster than numpy scalars from the array, and the
+    # memoryview copies nothing at any width.
+    nodes = tree.path(memoryview(row))
+    node_id = next(nodes)
     steps = []
-    for node_id, nxt in zip(ids, ids[1:]):
+    for nxt in nodes:
         feature = tree.feature[node_id]
         view, local = dtree.feature_attribution(feature, offsets)
-        steps.append(ExplanationStep(
-            feature=feature, view=view, local_feature=local,
-            threshold=tree.threshold[node_id],
-            went_left=nxt == tree.left[node_id],
-        ))
-    return steps, tree.label[ids[-1]]
+        steps.append(ExplanationStep(feature, view, local,
+                                     tree.threshold[node_id],
+                                     nxt == tree.left[node_id]))
+        node_id = nxt
+    return steps, tree.label[node_id]

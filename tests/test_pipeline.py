@@ -528,8 +528,24 @@ class TestExplain:
             assert 0 <= step.local_feature < 4
 
     def test_dimension_mismatch(self, fitted):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="view 1 has 3 features, expected 4"):
             pipeline.explain(fitted, [np.zeros(4), np.zeros(3)])
+
+    @pytest.mark.parametrize("x_views, message", [
+        ([np.zeros(4), np.zeros(4, dtype=complex)],
+         "^view 1 is complex, expected real numbers$"),
+        ([np.zeros(4), ["a", "b", "c", "d"]],
+         "^view 1 is not an array of numbers: could not convert string"),
+        ([np.zeros(4), [[1.0, 2.0], [3.0]]],
+         "^view 1 is not an array of numbers: setting an array element"),
+        ([np.zeros((1, 1, 4)), np.zeros(4)],
+         r"^view 0 has shape \(1, 1, 4\), expected \(rows, 4\)$"),
+        ([np.zeros(4)] * 3, "^expected 2 views, got 3$"),
+    ], ids=["complex", "non-numeric", "ragged", "3-D", "view count"])
+    def test_boundary_messages(self, fitted, x_views, message):
+        with pytest.raises(ValueError, match=message):
+            pipeline.explain(fitted, x_views)
 
     def test_multi_row_view_rejected(self, fitted, small_dataset):
         views, _ = small_dataset
@@ -581,11 +597,36 @@ def test_predict_and_explain_reject_a_view_too_few(fitted, small_dataset,
 
 def test_finite_rows_whose_sum_overflows_are_accepted():
     for view in (np.array([[1e308], [1e308]]),
-                 np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 0.0]])):
+                 np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 0.0]]),
+                 np.array([[1e308, 1e308]]), np.full((1, 2000), 1e308)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
                 pipeline._check_finite(view, 0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 2000])
+def test_one_row_finite_check_under_a_raising_error_state(width):
+    """`explain` accepts a finite row whose sum overflows, and rejects a
+    NaN or +-inf in any column, with numpy raising and warnings errors."""
+    tree = make_tree({0: (width, 0.0, 1, 2), 1: 0, 2: 1}, 2, width + 1)
+    model = pipeline.ServedModel(config=PipelineConfig(k=2), tree=tree,
+                                 view_dims=[1, width])
+    row = np.full(width, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            assert pipeline.explain(model, [-1e308, row])[1] == 1
+            for column in (0, width - 1):
+                for bad in (np.nan, np.inf, -np.inf):
+                    x = row.copy()
+                    x[column] = bad
+                    with pytest.raises(ValueError, match="^view 1 has a "
+                                       "non-finite value in row 0$"):
+                        pipeline.explain(model, [0.0, x])
+                    with pytest.raises(ValueError, match="^view 0 has a "
+                                       "non-finite value in row 0$"):
+                        pipeline.explain(model, [bad, row])
 
 
 @pytest.mark.parametrize("rows", [1, 2, 6])

@@ -1,18 +1,22 @@
-"""The read path: `ServedModel.predict` routes the views in place.
+"""The read path: `ServedModel.predict` routes the views in place, and
+`explain` walks one instance.
 
 The oracle is the concatenated route: the views side by side in one
 matrix, walked row by row with `x[feature] <= threshold`.
 """
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imvc.data import load_model, save_model
 from imvc.dtree import build_tree
-from imvc.pipeline import PipelineConfig, ServedModel
+from imvc.pipeline import ExplanationStep, PipelineConfig, ServedModel, explain
 from trees import make_tree
 
 THRESHOLDS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
@@ -20,7 +24,8 @@ THRESHOLDS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
 
 def serving_model(tree, view_dims, standardizer=None):
     """The served model of `tree` over views of widths `view_dims`."""
-    return ServedModel(config=PipelineConfig(k=tree.k), tree=tree,
+    config = PipelineConfig(k=tree.k, standardize=standardizer is not None)
+    return ServedModel(config=config, tree=tree,
                        view_dims=list(view_dims), standardizer=standardizer)
 
 
@@ -34,6 +39,45 @@ def reference_labels(tree, X, start):
             node = tree.left[node] if go_left else tree.right[node]
         out.append(tree.label[node])
     return np.array(out, dtype=np.int64)
+
+
+def reference_explanation(model, x):
+    """The decision path of row x of the preprocessed views side by side:
+    a walk over the tree's arrays, each step attributed to its view by
+    counting the views' columns."""
+    tree = model.tree
+    owner = [(v, c) for v, dim in enumerate(model.view_dims)
+             for c in range(dim)]
+    node, steps = tree.root, []
+    while tree.feature[node] >= 0:
+        feature = tree.feature[node]
+        went_left = bool(x[feature] <= tree.threshold[node])
+        view, local = owner[feature]
+        steps.append(ExplanationStep(
+            feature=feature, view=view, local_feature=local,
+            threshold=tree.threshold[node], went_left=went_left,
+        ))
+        node = tree.left[node] if went_left else tree.right[node]
+    return steps, tree.label[node]
+
+
+def instances(views, i):
+    """Row i of the views as `explain` takes it: each view's row as a 1-D
+    array, then with one-column views as bare numbers, then as (1, d)."""
+    yield [view[i] for view in views]
+    yield [float(view[i, 0]) if view.shape[1] == 1 else view[i]
+           for view in views]
+    yield [view[i:i + 1] for view in views]
+
+
+def assert_explains_every_row(model, views):
+    X = np.hstack(model.preprocess(views))
+    labels = model.predict(views)
+    for i in range(len(X)):
+        expected = reference_explanation(model, X[i])
+        assert expected[1] == labels[i]
+        for x in instances(views, i):
+            assert explain(model, x) == expected
 
 
 @st.composite
@@ -97,6 +141,24 @@ def test_route_over_views_equals_route_over_their_concatenation(problem):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(tree.predict_views(views, start),
                                       reference_labels(tree, X, start))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=served_problems())
+def test_explain_equals_the_reference_walk(problem):
+    views, model = problem
+    assert_explains_every_row(model, views)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "model.imvc")
+        assert_explains_every_row(load_model(Path(tmp) / "model.imvc"), views)
+
+
+def test_explain_on_a_single_leaf_tree():
+    rng = np.random.default_rng(3)
+    views = [rng.standard_normal((5, d)) for d in (1, 3)]
+    model = serving_model(make_tree({0: 2}, 3, 4), [1, 3])
+    assert_explains_every_row(model, views)
+    assert explain(model, [0.5, views[1][0]]) == ([], 2)
 
 
 def test_predict_makes_no_concatenated_copy():
