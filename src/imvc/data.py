@@ -2,10 +2,10 @@
 
 Datasets are a JSON manifest plus one headerless numeric CSV per view
 (rows aligned across views) and an optional integer labels CSV. A model
-file holds what serving reads: a little-endian header (magic, version,
-sha256 and length of the payload) and one JSON payload with the config,
-the view widths, the standardizer and the tree. JSON writes each float
-as its shortest round-tripping repr, so a reload is bit-exact.
+file holds only what serving reads: a little-endian header (magic,
+version, sha256 and length of the payload) and one JSON payload with the
+view widths, the standardizer and the tree. JSON writes each float as its
+shortest round-tripping repr, so a reload is bit-exact.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ import os
 import reprlib
 import struct
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dtree import HOLE, DecisionTree, feature_attribution
-from .pipeline import PipelineConfig, ServedModel, _check_views
+from .pipeline import ServedModel, _check_views
 
 MODEL_MAGIC = b"IMVC"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 TREE_SCHEMA_VERSION = 1
 
 
@@ -55,7 +55,6 @@ class DatasetManifest:
 _INT64_END = 1 << 63
 _STRING = (lambda v: type(v) is str, "a string")
 _OBJECT = (lambda v: type(v) is dict, "an object")
-_BOOLEAN = (lambda v: type(v) is bool, "a boolean")
 _ARRAY = (lambda v: type(v) is list, "an array")
 _ARRAY_OR_NULL = (lambda v: v is None or type(v) is list, "an array or null")
 _NON_EMPTY_ARRAY = (lambda v: type(v) is list and v != [], "a non-empty array")
@@ -300,10 +299,13 @@ def write_dataset(out_dir, views, truth=None) -> Path:
 # ---------------------------------------------------------------------------
 # tree export
 
-# a node record's fields, in the order a missing one is looked for
-_node_fields = operator.itemgetter("id", "kind", "depth", "split_feature",
-                                   "split_value", "label", "left", "right",
-                                   "count")
+# the fields of a tree document and of its node records, which tree_to_doc
+# writes; a node record's are in the order a missing one is looked for
+_TREE_FIELDS = ("schema_version", "k", "feature_dim", "view_offsets", "root",
+                "nodes")
+_NODE_FIELDS = ("id", "kind", "depth", "split_feature", "split_value",
+                "label", "left", "right", "count")
+_node_fields = operator.itemgetter(*_NODE_FIELDS)
 # The tree's arrays are indexed by node id, so a document naming an id
 # past this is rejected rather than allocated, and save_model writes no
 # such file. build_tree numbers fewer than 2n nodes for n rows, so a model
@@ -341,11 +343,20 @@ def _bad_node(node_id: int, field: str, what: str) -> ValueError:
     return ValueError(f"tree node {node_id} field {field!r} {what}")
 
 
+def _extra_field(obj: dict, names, where: str) -> ValueError:
+    """The error for `obj`, which holds each field in `names` and another:
+    save_model writes no other."""
+    extra = min(obj.keys() - set(names))
+    return ValueError(f"{where} has an unknown field {extra!r}")
+
+
 def _records_by_id(records: list) -> dict[int, tuple]:
-    """Each node record's fields by its id. A record that is not an object
-    or lacks a field, or an id that is not a unique integer in
-    [0, _NODE_ID_END), is rejected, naming the record."""
+    """Each node record's fields by its id. A record that is not an object,
+    lacks a field or holds another, or an id that is not an integer in
+    [0, _NODE_ID_END) above the one before it, is rejected, naming the
+    record."""
     by_id = {}
+    prev = -1
     for i, rec in enumerate(records):
         try:
             fields = _node_fields(rec)
@@ -358,9 +369,13 @@ def _records_by_id(records: list) -> dict[int, tuple]:
         if type(node_id) is not int or not 0 <= node_id < _NODE_ID_END:
             raise ValueError(f"tree node #{i} field 'id' is not an integer "
                              f"in [0, {_NODE_ID_END})")
-        if node_id in by_id:
-            raise _bad_node(node_id, "id", "is a duplicate")
+        if node_id <= prev:             # tree_to_doc writes ids ascending
+            raise ValueError(f"tree node #{i} field 'id' is {node_id}, "
+                             f"expected more than the id before, {prev}")
+        if len(rec) > len(_NODE_FIELDS):
+            raise _extra_field(rec, _NODE_FIELDS, f"tree node {node_id}")
         by_id[node_id] = fields
+        prev = node_id
     return by_id
 
 
@@ -409,12 +424,14 @@ def doc_to_tree(doc: dict) -> DecisionTree:
     A ValueError names the node and field at fault: a missing field or
     one of the wrong JSON type, a kind other than "internal" or "leaf", a
     split on a feature outside [0, feature_dim), a leaf label outside
-    [0, k), a depth other than the node's, a child that is not a node, a
-    duplicate id, or a node that the walk from the root reaches twice
-    (a cycle or a shared child) or never.
+    [0, k), a depth other than the node's, a child that is not a node, ids
+    out of ascending order, a record holding a field tree_to_doc does not
+    write, or a node that the walk from the root reaches twice (a cycle or
+    a shared child) or never.
     """
-    if doc.get("schema_version") != TREE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported tree schema: {doc.get('schema_version')}")
+    schema = doc.get("schema_version")
+    if schema != TREE_SCHEMA_VERSION or type(schema) is not int:
+        raise ValueError(f"unsupported tree schema: {schema!r}")
     k, feature_dim, root = (_field(doc, "tree", name, _INT64)
                             for name in ("k", "feature_dim", "root"))
     records = _field(doc, "tree", "nodes", _ARRAY)
@@ -482,11 +499,8 @@ def save_model(model: ServedModel, path) -> None:
         standardizer = [[mean.tolist(), std.tolist()]
                         for mean, std in standardizer]
     payload = json.dumps({
-        "config": asdict(model.config),
         "view_dims": list(model.view_dims),
         "standardizer": standardizer,
-        "converged": model.converged,
-        "cycles_run": model.cycles_run,
         "tree": tree_to_doc(model.tree, model.view_offsets),
     }, sort_keys=True, separators=(",", ":")).encode()
     _read_model(payload, f"cannot save model file {path}")
@@ -496,10 +510,9 @@ def save_model(model: ServedModel, path) -> None:
         f.write(payload)
 
 
-# the metadata fields load_model reads, with their checks
-_META_FIELDS = {"config": _OBJECT, "view_dims": _COUNTS,
-                "standardizer": _ARRAY_OR_NULL, "converged": _BOOLEAN,
-                "cycles_run": _INT64, "tree": _OBJECT}
+# the metadata fields save_model writes, with their checks
+_META_FIELDS = {"view_dims": _COUNTS, "standardizer": _ARRAY_OR_NULL,
+                "tree": _OBJECT}
 
 
 def _truncated(path, wanted: int, offset: int, got: int) -> ValueError:
@@ -517,9 +530,9 @@ def _read_payload(path) -> bytes:
         if len(head) < 8:
             raise _truncated(path, 4, 4, len(head) - 4)
         (version,) = struct.unpack_from("<I", head, 4)
-        if version == 1:
-            raise ValueError(f"model file {path} is version 1, which is no "
-                             f"longer read: fit the model again")
+        if version < MODEL_VERSION:
+            raise ValueError(f"model file {path} is version {version}, which "
+                             f"is no longer read: fit the model again")
         if version != MODEL_VERSION:
             raise ValueError(f"model file {path} has unsupported version "
                              f"{version}")
@@ -568,41 +581,25 @@ def _read_model(payload: bytes, where: str) -> ServedModel:
     try:
         for name, check in _META_FIELDS.items():
             _field(meta, "metadata", name, check)
-        try:
-            cfg = PipelineConfig(**meta["config"])
-            cfg.validate()
-        except (TypeError, ValueError) as exc:  # a key it lacks, a bad value
-            raise ValueError(f"metadata field 'config' is malformed: "
-                             f"{exc}") from None
-        if meta["cycles_run"] > cfg.outer_cycles:   # fit never runs more
-            raise ValueError(f"metadata field 'cycles_run' is "
-                             f"{meta['cycles_run']}, past config field "
-                             f"'outer_cycles' {cfg.outer_cycles}")
+        if len(meta) > len(_META_FIELDS):
+            raise _extra_field(meta, _META_FIELDS, "metadata")
         view_dims, standardizer = meta["view_dims"], meta["standardizer"]
-        if (standardizer is not None) != cfg.standardize:
-            raise ValueError(f"metadata field 'standardizer' is "
-                             f"{reprlib.repr(standardizer)}, but config "
-                             f"field 'standardize' is {cfg.standardize}")
         if standardizer is not None:
             standardizer = _standardizer(standardizer, view_dims)
-        model = ServedModel(config=cfg, tree=doc_to_tree(meta["tree"]),
-                            view_dims=view_dims, standardizer=standardizer,
-                            converged=meta["converged"],
-                            cycles_run=meta["cycles_run"])
+        model = ServedModel(tree=doc_to_tree(meta["tree"]),
+                            view_dims=view_dims, standardizer=standardizer)
         tree, offsets = model.tree, meta["tree"].get("view_offsets")
         if tree.feature_dim != sum(view_dims):
             raise ValueError(f"tree has {tree.feature_dim} features, the "
                              f"views {sum(view_dims)}")
-        # fields the tree document repeats from the model must agree with
-        # it: a larger k lets predict return labels past the config's, and
-        # save_model writes view_offsets anew from the view widths
-        if tree.k != cfg.k:
-            raise ValueError(f"tree field 'k' is {tree.k}, the config's "
-                             f"{cfg.k}")
+        # save_model writes view_offsets anew from the view widths, so the
+        # tree document's copy must agree with them
         if (offsets != model.view_offsets
                 or not all(type(offset) is int for offset in offsets)):
             raise ValueError(f"tree field 'view_offsets' is {offsets!r}, "
                              f"the views' {model.view_offsets}")
+        if len(meta["tree"]) > len(_TREE_FIELDS):
+            raise _extra_field(meta["tree"], _TREE_FIELDS, "tree")
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     return model

@@ -86,12 +86,9 @@ class LabelSet:
 class ServedModel:
     """What `predict`, `explain` and a model file hold: the tree and how
     the views are prepared for it."""
-    config: PipelineConfig
     tree: dtree.DecisionTree
     view_dims: list[int]
     standardizer: list[tuple[np.ndarray, np.ndarray]] | None = None
-    converged: bool = False
-    cycles_run: int = 0
 
     @property
     def view_offsets(self) -> list[int]:
@@ -110,7 +107,11 @@ class ServedModel:
 
 @dataclass(kw_only=True)
 class ModelState(ServedModel):
-    """The served model plus the training state `fit` leaves behind."""
+    """The served model plus the config it was fit with and the training
+    state `fit` leaves behind."""
+    config: PipelineConfig
+    converged: bool = False
+    cycles_run: int = 0
     autoencoders: list[nncore.Autoencoder]
     centers: list[np.ndarray]                 # per view, (k, embed_dim)
     labels: LabelSet                          # tree outputs on training data

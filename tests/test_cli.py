@@ -162,7 +162,7 @@ class TestExportTree:
         assert out.startswith("digraph tree {")
 
     @pytest.mark.parametrize("meta, message", [
-        ({}, "is missing field 'config'"),
+        ({}, "is missing field 'view_dims'"),
         ([1, 2], "is not a JSON object"),
     ], ids=["empty-object", "array"])
     def test_damaged_metadata_fails_cleanly(self, tmp_path, capsys, meta,

@@ -440,9 +440,10 @@ class TestTreeExport:
 
 
 def model_file(payload: bytes) -> bytes:
-    """A version 2 model file holding `payload`: magic, version, the
-    payload's sha256 and length, then the payload."""
-    return (b"IMVC" + struct.pack("<I", 2) + hashlib.sha256(payload).digest()
+    """A model file of the current version holding `payload`: magic,
+    version, the payload's sha256 and length, then the payload."""
+    return (b"IMVC" + struct.pack("<I", dataio.MODEL_VERSION)
+            + hashlib.sha256(payload).digest()
             + struct.pack("<Q", len(payload)) + payload)
 
 
@@ -521,7 +522,7 @@ for index in range(len(meta["tree"]["nodes"])):
             edited["tree"]["nodes"][index][field] = value
             payload = json.dumps(edited, sort_keys=True,
                                  separators=(",", ":")).encode()
-            blob = (b"IMVC" + struct.pack("<I", 2)
+            blob = (b"IMVC" + struct.pack("<I", data.MODEL_VERSION)
                     + hashlib.sha256(payload).digest()
                     + struct.pack("<Q", len(payload)) + payload)
             with open(bad, "wb") as f:
@@ -544,7 +545,7 @@ for index in range(len(meta["tree"]["nodes"])):
             except Exception as exc:
                 failures.append(f"{case}: predict: {type(exc).__name__}: {exc}")
                 continue
-            if not ((labels >= 0) & (labels < model.config.k)).all():
+            if not ((labels >= 0) & (labels < model.tree.k)).all():
                 failures.append(f"{case}: predicted {sorted(set(labels))}")
             data.save_model(model, again)
             with open(again, "rb") as f:
@@ -578,7 +579,9 @@ class TestModelSerialization:
                                       model.predict(views))
         np.testing.assert_array_equal(restored.predict(views),
                                       model.labels.hard)
-        assert restored.config == model.config
+        assert restored.view_dims == model.view_dims
+        assert (dataio.tree_to_doc(restored.tree, restored.view_offsets)
+                == dataio.tree_to_doc(model.tree, model.view_offsets))
         for got, want in zip(restored.standardizer, model.standardizer):
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -594,12 +597,17 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="not a model file"):
             dataio.load_model(path)
 
-    def test_version_1_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version, message", [
+        (1, "model file .*old.imvc is version 1, which is no longer read: "
+            "fit the model again"),
+        (2, "model file .*old.imvc is version 2, which is no longer read: "
+            "fit the model again"),
+        (4, "model file .*old.imvc has unsupported version 4"),
+    ], ids=["v1", "v2", "v4"])
+    def test_version_other_than_3_rejected(self, tmp_path, version, message):
         path = tmp_path / "old.imvc"
-        path.write_bytes(b"IMVC" + struct.pack("<I", 1))
-        with pytest.raises(ValueError, match="model file .*old.imvc is "
-                                             "version 1, which is no longer "
-                                             "read"):
+        path.write_bytes(b"IMVC" + struct.pack("<I", version))
+        with pytest.raises(ValueError, match=message):
             dataio.load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path, state):
@@ -679,14 +687,12 @@ class TestModelSerialization:
         cls.edit_meta(src, dst, edit_doc)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda meta: {}, "is missing field 'config'"),
+        (lambda meta: {}, "is missing field 'view_dims'"),
         (lambda meta: [1, 2], "is not a JSON object"),
         (lambda meta: {k: v for k, v in meta.items() if k != "tree"},
          "is missing field 'tree'"),
-        (lambda meta: dict(meta, converged="yes"),
-         "field 'converged' is 'yes', expected a boolean"),
-        (lambda meta: dict(meta, config=dict(meta["config"], depth=3)),
-         "field 'config' is malformed: .*depth"),
+        (lambda meta: dict(meta, config={}),
+         "has an unknown field 'config'"),
         (lambda meta: dict(meta, view_dims=["3", 3]),
          "field 'view_dims' is \\['3', 3\\], expected a non-empty array of "
          "positive integers"),
@@ -701,23 +707,6 @@ class TestModelSerialization:
          "feature"),
         (lambda meta: dict(meta, standardizer=5),
          "field 'standardizer' is 5, expected an array or null"),
-        (lambda meta: dict(meta, config=dict(meta["config"], lam=-1)),
-         "field 'config' is malformed: trade-off coefficient must be "
-         "non-negative"),
-        (lambda meta: dict(meta, config=dict(meta["config"], k="3")),
-         "field 'config' is malformed: k must be an integer, got '3'"),
-        (lambda meta: dict(meta, config=dict(meta["config"], max_depth=0)),
-         "field 'config' is malformed: max_depth must be at least 1"),
-        (lambda meta: dict(meta, config=dict(meta["config"], e1=0)),
-         "field 'config' is malformed: e1 must be at least 1"),
-        (lambda meta: dict(meta, cycles_run=True),
-         "field 'cycles_run' is True, expected an integer in "
-         "\\[0, 2\\*\\*63\\)"),
-        (lambda meta: dict(meta, cycles_run=-1),
-         "field 'cycles_run' is -1, expected an integer in "
-         "\\[0, 2\\*\\*63\\)"),
-        (lambda meta: dict(meta, cycles_run=2),
-         "field 'cycles_run' is 2, past config field 'outer_cycles' 1"),
         (lambda meta: with_entry(meta, 0, 1, 2, 0.0),
          "field 'standardizer' view 0 std 2 is 0.0, expected a finite float "
          "> 0"),
@@ -735,23 +724,11 @@ class TestModelSerialization:
          "float$"),
         (lambda meta: with_entry(meta, 1, 0, 2, 1),
          "field 'standardizer' view 1 mean 2 is 1, expected a finite float$"),
-        (lambda meta: dict(meta, standardizer=None),
-         "field 'standardizer' is None, but config field 'standardize' is "
-         "True"),
-        (lambda meta: dict(meta, config=dict(meta["config"],
-                                             standardize=False)),
-         "field 'standardizer' is \\[\\[.*\\]\\], but config field "
-         "'standardize' is False"),
-    ], ids=["empty-object", "array", "no-tree", "converged-string",
-            "config-unknown-key", "view-dims-strings", "view-dims-empty",
-            "standardizer-short",
+    ], ids=["empty-object", "array", "no-tree", "extra-field",
+            "view-dims-strings", "view-dims-empty", "standardizer-short",
             "standardizer-strings", "standardizer-number",
-            "config-lam-negative", "config-k-string", "config-max-depth-zero",
-            "config-e1-zero", "cycles-run-boolean", "cycles-run-negative",
-            "cycles-run-past-the-config",
             "std-zero", "std-negative", "mean-nan", "std-infinity",
-            "mean-boolean", "mean-integer", "standardizer-null",
-            "standardizer-unused"])
+            "mean-boolean", "mean-integer"])
     def test_damaged_metadata_rejected_at_load(self, tmp_path, state, edit,
                                                message):
         model, _ = state
@@ -765,33 +742,19 @@ class TestModelSerialization:
             dataio.load_model(bad)
 
     @pytest.mark.parametrize("change, message", [
-        (dict(config=PipelineConfig(k=3, standardize=True)),
-         "metadata field 'standardizer' is None, but config field "
-         "'standardize' is True"),
-        (dict(config=PipelineConfig(k=3, standardize=True),
-              standardizer=[(np.zeros(1), np.ones(1)),
+        (dict(standardizer=[(np.zeros(1), np.ones(1)),
                             (np.zeros(1), np.zeros(1))]),
          "metadata field 'standardizer' view 1 std 0 is 0.0, expected a "
          "finite float > 0"),
-        (dict(config=PipelineConfig(k=4)), "tree field 'k' is 3, the config's 4"),
         (dict(view_dims=[1, 2]), "tree has 2 features, the views 3"),
-        (dict(config=PipelineConfig(k=3, lr=-1)),
-         "metadata field 'config' is malformed: learning rate must be "
-         "positive"),
-        (dict(config=PipelineConfig(k=3, outer_cycles=5), cycles_run=99),
-         "metadata field 'cycles_run' is 99, past config field "
-         "'outer_cycles' 5"),
-    ], ids=["standardizer-missing", "std-zero", "k-past-the-tree",
-            "views-narrower-than-the-tree", "lr-negative",
-            "cycles-run-past-the-config"])
+    ], ids=["std-zero", "views-narrower-than-the-tree"])
     def test_model_the_loader_rejects_is_not_saved(self, tmp_path, change,
                                                    message):
         """save_model writes only files that load_model reads: a model
         breaking one of its rules raises before the file opens, so no file
         is made and a good model at the path keeps its bytes."""
         tree = make_tree({0: (0, 0.5, 1, 2), 1: 0, 2: 2}, k=3, feature_dim=2)
-        good = pipeline.ServedModel(config=PipelineConfig(k=3), tree=tree,
-                                    view_dims=[1, 1])
+        good = pipeline.ServedModel(tree=tree, view_dims=[1, 1])
         bad = dataclasses.replace(good, **change)
         path = tmp_path / "model.imvc"
         match = (f"^cannot save model file {re.escape(str(path))}: "
@@ -807,8 +770,7 @@ class TestModelSerialization:
 
     def test_tree_past_the_id_bound_is_not_saved(self, tmp_path, monkeypatch):
         tree = make_tree({0: (0, 0.5, 1, 4), 1: 0, 4: 1}, k=2, feature_dim=1)
-        model = pipeline.ServedModel(config=PipelineConfig(k=2), tree=tree,
-                                     view_dims=[1])
+        model = pipeline.ServedModel(tree=tree, view_dims=[1])
         monkeypatch.setattr(dataio, "_NODE_ID_END", 4)
         path = tmp_path / "model.bin"
         with pytest.raises(ValueError, match="cannot save model file "
@@ -888,7 +850,15 @@ class TestModelSerialization:
         (lambda doc: doc["nodes"].__setitem__(1, [1]),
          "tree node #1 is not an object"),
         (lambda doc: doc["nodes"].append(dict(doc["nodes"][2])),
-         "tree node 2 field 'id' is a duplicate"),
+         "tree node #3 field 'id' is 2, expected more than the id before, 2"),
+        (lambda doc: doc["nodes"].reverse(),
+         "tree node #1 field 'id' is 1, expected more than the id before, 2"),
+        (lambda doc: doc["nodes"][1].update(weight=1.0),
+         "tree node 1 has an unknown field 'weight'"),
+        (lambda doc: doc.update(n_leaves=2),
+         "tree has an unknown field 'n_leaves'"),
+        (lambda doc: doc.update(schema_version=True),
+         "unsupported tree schema: True"),
         (lambda doc: doc["nodes"][1].update(id=True),
          "tree node #1 field 'id' is not an integer in \\[0, 1048576\\)"),
         (lambda doc: doc["nodes"].append(dict(doc["nodes"][2], id=2**40)),
@@ -935,21 +905,21 @@ class TestModelSerialization:
          "tree node 1 is reached twice from the root"),
         (lambda doc: doc["nodes"].append(dict(doc["nodes"][2], id=7)),
          "tree node 7 is not reached from the root"),
-        (lambda doc: doc.update(k=5),
-         "tree field 'k' is 5, the config's 2"),
         (lambda doc: doc.update(view_offsets=[0, 1]),
          "tree field 'view_offsets' is \\[0, 1\\], the views' \\[0, 3\\]"),
         (lambda doc: doc.update(view_offsets=[0.0, 3.0]),
          "tree field 'view_offsets' is \\[0.0, 3.0\\], the views' "
          "\\[0, 3\\]"),
-    ], ids=["record-array", "duplicate-id", "id-boolean", "id-2^40",
+    ], ids=["record-array", "duplicate-id", "ids-descending",
+            "node-extra-field", "tree-extra-field", "schema-version-boolean",
+            "id-boolean", "id-2^40",
             "depth-boolean", "depth-wrong", "count-float", "left-boolean",
             "right-string", "split-feature-float", "label-boolean",
             "label-out-of-range", "split-value-string", "split-value-nan",
             "split-value-huge-integer", "kind-capitalized", "k-string",
             "feature-dim-float", "root-boolean", "nodes-object",
             "cycle-to-root", "shared-child", "unreached-node",
-            "k-past-the-config", "view-offsets-wrong", "view-offsets-floats"])
+            "view-offsets-wrong", "view-offsets-floats"])
     def test_damaged_tree_field_rejected_at_load(self, tmp_path, state, edit,
                                                  message):
         model, _ = state
@@ -981,8 +951,7 @@ class TestModelSerialization:
         tree = build_tree(X, rng.integers(0, 3, size=60), max_depth=3,
                           min_num=2, k=3)
         assert tree.n_nodes >= 7
-        model = pipeline.ServedModel(config=PipelineConfig(k=3), tree=tree,
-                                     view_dims=[1, 3])
+        model = pipeline.ServedModel(tree=tree, view_dims=[1, 3])
         dataio.save_model(model, tmp_path / "model.bin")
         np.save(tmp_path / "rows.npy",
                 np.vstack([X, 10 * rng.standard_normal((40, 4))]))
@@ -992,24 +961,22 @@ class TestModelSerialization:
         assert result["failures"] == []
 
     def test_every_metadata_edit_loads_or_is_rejected(self, tmp_path):
-        """Each metadata field, config field, view width and standardizer
-        entry of a standardized two-view model set to each of nine JSON
-        values and signed again: the file loads, routes every row to a
-        label in [0, k) and saves again to the same bytes, or raises a
-        ValueError naming it. A RuntimeWarning is an error."""
+        """Each metadata field, view width and standardizer entry of a
+        standardized two-view model set to each of nine JSON values and
+        signed again: the file loads, routes every row to a label in
+        [0, k) and saves again to the same bytes, or raises a ValueError
+        naming it. A RuntimeWarning is an error."""
         rng = np.random.default_rng(3)
         views = [rng.standard_normal((60, 1)), rng.standard_normal((60, 3))]
         tree = build_tree(np.hstack(views), rng.integers(0, 3, size=60),
                           max_depth=3, min_num=2, k=3)
         model = pipeline.ServedModel(
-            config=PipelineConfig(k=3, outer_cycles=3, standardize=True),
-            tree=tree, view_dims=[1, 3], converged=True, cycles_run=2,
+            tree=tree, view_dims=[1, 3],
             standardizer=[(view.mean(axis=0), view.std(axis=0))
                           for view in views])
         dataio.save_model(model, tmp_path / "model.bin")
         meta = json.loads((tmp_path / "model.bin").read_bytes()[48:])
         fields = [(name,) for name in meta]
-        fields += [("config", name) for name in meta["config"]]
         fields += [("view_dims", v) for v in range(2)]
         fields += [("standardizer", v, row, j) for v, dim in enumerate([1, 3])
                    for row in (0, 1) for j in range(dim)]
@@ -1044,8 +1011,8 @@ class TestModelSerialization:
                     dataio.save_model(served, again)
                     if again.read_bytes() != blob:
                         failures.append(f"{case}: saves as other bytes")
-        # 6 metadata fields, 10 config fields, 2 widths, 2 * (1 + 3) entries
-        assert len(fields) == 26
+        # 3 metadata fields, 2 widths, 2 * (1 + 3) entries
+        assert len(fields) == 13
         assert counts["loaded"] > 0 and counts["rejected"] > 0
         assert failures == []
 

@@ -610,8 +610,7 @@ def test_one_row_finite_check_under_a_raising_error_state(width):
     """`explain` accepts a finite row whose sum overflows, and rejects a
     NaN or +-inf in any column, with numpy raising and warnings errors."""
     tree = make_tree({0: (width, 0.0, 1, 2), 1: 0, 2: 1}, 2, width + 1)
-    model = pipeline.ServedModel(config=PipelineConfig(k=2), tree=tree,
-                                 view_dims=[1, width])
+    model = pipeline.ServedModel(tree=tree, view_dims=[1, width])
     row = np.full(width, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

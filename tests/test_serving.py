@@ -16,17 +16,10 @@ from hypothesis import strategies as st
 
 from imvc.data import load_model, save_model
 from imvc.dtree import build_tree
-from imvc.pipeline import ExplanationStep, PipelineConfig, ServedModel, explain
+from imvc.pipeline import ExplanationStep, ServedModel, explain
 from trees import make_tree
 
 THRESHOLDS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
-
-
-def serving_model(tree, view_dims, standardizer=None):
-    """The served model of `tree` over views of widths `view_dims`."""
-    config = PipelineConfig(k=tree.k, standardize=standardizer is not None)
-    return ServedModel(config=config, tree=tree,
-                       view_dims=list(view_dims), standardizer=standardizer)
 
 
 def reference_labels(tree, X, start):
@@ -112,7 +105,8 @@ def served_problems(draw):
         standardizer = [(rng.integers(-1, 2, size=d).astype(np.float64),
                          rng.choice([0.5, 1.0, 2.0], size=d))
                         for d in dims]
-    return views, serving_model(tree, dims, standardizer)
+    return views, ServedModel(tree=tree, view_dims=dims,
+                              standardizer=standardizer)
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,7 +150,7 @@ def test_explain_equals_the_reference_walk(problem):
 def test_explain_on_a_single_leaf_tree():
     rng = np.random.default_rng(3)
     views = [rng.standard_normal((5, d)) for d in (1, 3)]
-    model = serving_model(make_tree({0: 2}, 3, 4), [1, 3])
+    model = ServedModel(tree=make_tree({0: 2}, 3, 4), view_dims=[1, 3])
     assert_explains_every_row(model, views)
     assert explain(model, [0.5, views[1][0]]) == ([], 2)
 
@@ -170,7 +164,7 @@ def test_predict_makes_no_concatenated_copy():
     tree = build_tree(sample, rng.integers(0, 3, size=2000), max_depth=8,
                       min_num=10, k=3)
     assert tree.n_nodes > 50
-    model = serving_model(tree, dims)
+    model = ServedModel(tree=tree, view_dims=dims)
     tracemalloc.start()
     try:
         model.predict(views)
